@@ -134,6 +134,7 @@ ensembleReport(const EnsemblePolicyOutcome &outcome)
     r.latency.p50 = m.p50;
     r.latency.p95 = m.p95;
     r.latency.p99 = m.p99;
+    r.latencyOverflow = m.latencyOverflow;
     r.qosViolationFraction = m.qosViolationFraction;
     r.qosAttainment = m.qosAttainment;
     r.score = m.score;
@@ -148,6 +149,8 @@ ensembleReport(const EnsemblePolicyOutcome &outcome)
     r.fastMode =
         m.fastMode ? sim::EnsembleFastConfig::contractVersion() : "";
     r.wallSeconds = m.wallSeconds;
+    r.shardEvents = m.shardEvents;
+    r.windowImbalance = m.meanWindowImbalance;
     return r;
 }
 

@@ -165,6 +165,9 @@ writeEnsemble(JsonWriter &w, const EnsembleReport &e,
     w.key("p50").value(e.latency.p50);
     w.key("p95").value(e.latency.p95);
     w.key("p99").value(e.latency.p99);
+    // Omitted when zero: runs inside the histogram keep their bytes.
+    if (e.latencyOverflow > 0)
+        w.key("overflow").value(e.latencyOverflow);
     w.endObject();
     w.key("qos_violation_fraction").value(e.qosViolationFraction);
     w.key("qos_attainment").value(e.qosAttainment);
@@ -189,8 +192,15 @@ writeEnsemble(JsonWriter &w, const EnsembleReport &e,
     // Omitted when empty: exact-mode reports keep their byte layout.
     if (!e.fastMode.empty())
         w.key("fast_mode").value(e.fastMode);
-    if (opts.includeTimings)
+    if (opts.includeTimings) {
         w.key("wall_seconds").value(e.wallSeconds);
+        w.key("shard_events");
+        w.beginArray();
+        for (std::uint64_t v : e.shardEvents)
+            w.value(v);
+        w.endArray();
+        w.key("window_imbalance").value(e.windowImbalance);
+    }
     w.endObject();
 }
 

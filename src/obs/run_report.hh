@@ -174,6 +174,9 @@ struct EnsembleReport {
     double bootingFraction = 0.0;
 
     LatencyReport latency;
+    /** Completions past the latency histogram (quantiles clamp to its
+     * edge); written as latency.overflow only when nonzero. */
+    std::uint64_t latencyOverflow = 0;
     double qosViolationFraction = 0.0;
     double qosAttainment = 0.0;
     double score = 0.0; //!< kWh / attainment, lower is better
@@ -192,6 +195,11 @@ struct EnsembleReport {
     std::string fastMode;
 
     double wallSeconds = 0.0; //!< timing; excludable
+    /** Shard balance: per-shard dispatch totals and the mean
+     * per-window imbalance. Execution observables (they depend on
+     * the shard count), so written with the timings only. */
+    std::vector<std::uint64_t> shardEvents;
+    double windowImbalance = 1.0;
 };
 
 /** Sweep-level aggregate, derived from the cells. */

@@ -1,14 +1,13 @@
-#include "perfsim/ensemble_sim.hh"
+/**
+ * @file
+ * The exact ensemble engine: one DES event per request arrival,
+ * completion, transition end and governor timer. The control plane
+ * it shares with the fast-mode/2 engine lives in ensemble_core.hh.
+ */
 
-#include <algorithm>
-#include <chrono>
-#include <cmath>
+#include "perfsim/ensemble_core.hh"
 
 #include "perfsim/request_arena.hh"
-#include "sim/sharded_queue.hh"
-#include "util/logging.hh"
-#include "util/random.hh"
-#include "util/thread_pool.hh"
 
 namespace wsc {
 namespace perfsim {
@@ -49,8 +48,6 @@ to_string(EnsemblePolicy p)
 
 namespace {
 
-constexpr unsigned kLatencyBins = 1024;
-
 /**
  * Batched unit-exponential pregeneration. The hot path draws one
  * inter-arrival gap and one service time per job, and every
@@ -87,30 +84,12 @@ struct Job {
     RequestHandle next = 0;
 };
 
-/**
- * One dispatch domain: a contiguous block of servers with its own
- * RNG stream, job arena, arrival process, and accumulators. A cell
- * is a lane of the sharded queue; within a window only the thread
- * executing the cell's shard touches it, and every accumulator is
- * merged in cell-index order, which is what makes the run's
- * observables shard-count-invariant.
- */
-struct Cell {
-    std::uint32_t idx = 0;
-    std::uint32_t n = 0;
-    /** Dispatch-side draws: p2c picks, wake picks, spill targets.
-     * Split from the arrival stream so every policy faces the
-     * bit-identical arrival process (policies differ only in how
-     * many dispatch draws they burn). SplitMix64 (the sanctioned
-     * fast generator, util/random.hh) rather than Rng: these streams
-     * draw once or twice per event, and the counter-based generator
-     * is several times cheaper than mt19937_64 + std distributions
-     * while keeping the identity-seeded determinism contract. */
-    SplitMix64 rng{0};
-    /** Arrival-side draws: inter-arrival delays, service times, MMPP
-     * dwells. All of them are exponential, so they share one batch of
+/** An exact-engine cell: the shared cell plus an event-driven state
+ * machine per server, a job arena, and the pending arrival. */
+struct Cell : detail::CellBase {
+    /** The arrival-side draws (inter-arrival delays, service times,
+     * MMPP dwells) are all exponential, so they share one batch of
      * pregenerated unit draws scaled at use. */
-    SplitMix64 arr{0};
     ExpBatch unitExp;
 
     // Per-server state, SoA.
@@ -121,83 +100,16 @@ struct Cell {
     std::vector<sim::EventId> timer;   //!< pending idle->sleep timer
     std::vector<double> lastChange;    //!< energy-integration mark
 
-    /** Dense membership lists (swap-remove, O(1) moves): awake =
-     * Active/Idle/Waking/Booting, asleep = Sleep, off = Off. pos[s]
-     * is s's index within its current list. */
-    std::vector<std::uint32_t> awake, asleep, off, pos;
-
     RequestArena<Job> arena;
 
-    double baseRate = 0.0; //!< this hour's arrival rate, calm
-    double rate = 0.0;     //!< with the burst multiplier applied
     double meanGap = 0.0;  //!< 1 / rate, cached off the arrival path
     sim::EventId arrivalEvent = 0;
-    bool inBurst = false;
-
-    // Accumulators, merged in cell order.
-    std::array<double, kServerStates> stateSeconds{};
-    double energyWs = 0.0; //!< watt-seconds since the last sweep
-    std::vector<double> hourEnergyWs;
-    std::uint64_t offered = 0, completed = 0, violations = 0,
-                  spilled = 0, wakes = 0, boots = 0, sleeps = 0,
-                  offs = 0;
-    std::vector<std::uint64_t> hourCompleted, hourViolations;
-    double latencySum = 0.0;
-    std::vector<std::uint64_t> latBins;
-    std::uint64_t latOverflow = 0;
-
-    /** Equivalence-gate samples (never serialized): per-hour latency
-     * mass and active-server-seconds, swept alongside hourEnergyWs. */
-    std::vector<double> hourLatencySum;
-    std::vector<double> hourActiveSeconds;
-    double sweptActiveSeconds = 0.0;
 };
 
-struct EnsembleSim {
-    const EnsembleConfig &cfg;
-    sim::ShardedEventQueue sq;
-    std::vector<Cell> cells;
-    double hourSeconds;
-    double horizon;
-    double binWidth;
-    /** Reciprocals of hourSeconds/binWidth: hourOf and the latency
-     * histogram run once per completion, and the two divides were
-     * measurable there. */
-    double invHourSeconds;
-    double invBinWidth;
-    double peakRate;
-    /** watts() as a flat table indexed by ServerState. */
-    std::array<double, kServerStates> wattsTable{};
-    unsigned nextBoundary = 1;
-    std::uint64_t capClamps = 0;
+struct EnsembleSim : detail::EnsembleCore<EnsembleSim, Cell> {
+    static constexpr bool kFastMode = false;
 
-    explicit EnsembleSim(const EnsembleConfig &cfg)
-        : cfg(cfg), sq(cfg.cells, cfg.shards, cfg.queue),
-          hourSeconds(cfg.secondsPerHour),
-          horizon(double(cfg.hours) * cfg.secondsPerHour),
-          binWidth(4.0 * cfg.qosLatencySeconds / kLatencyBins),
-          invHourSeconds(1.0 / hourSeconds),
-          invBinWidth(1.0 / binWidth),
-          peakRate(cfg.peakUtilization * double(cfg.servers) *
-                   double(cfg.serverSlots) / cfg.meanServiceSeconds)
-    {
-        wattsTable[unsigned(ServerState::Active)] =
-            cfg.power.busyWatts;
-        wattsTable[unsigned(ServerState::Idle)] = cfg.power.idleWatts;
-        wattsTable[unsigned(ServerState::Sleep)] =
-            cfg.power.sleepWatts;
-        wattsTable[unsigned(ServerState::Off)] = cfg.power.offWatts;
-        wattsTable[unsigned(ServerState::Waking)] =
-            cfg.power.transitionWatts;
-        wattsTable[unsigned(ServerState::Booting)] =
-            cfg.power.transitionWatts;
-    }
-
-    double
-    watts(ServerState s) const
-    {
-        return wattsTable[unsigned(s)];
-    }
+    using EnsembleCore::EnsembleCore;
 
     std::vector<std::uint32_t> &
     listFor(Cell &c, ServerState s)
@@ -219,38 +131,16 @@ struct EnsembleSim {
     {
         ServerState os = c.state[s];
         double dt = now - c.lastChange[s];
-        c.energyWs += dt * watts(os);
+        c.energyWs += dt * wattsTable[unsigned(os)];
         c.stateSeconds[unsigned(os)] += dt;
         c.lastChange[s] = now;
         if (os == ns)
             return;
         auto &from = listFor(c, os);
         auto &to = listFor(c, ns);
-        if (&from != &to) {
-            std::uint32_t i = c.pos[s];
-            from[i] = from.back();
-            c.pos[from[i]] = i;
-            from.pop_back();
-            c.pos[s] = std::uint32_t(to.size());
-            to.push_back(s);
-        }
+        if (&from != &to)
+            c.moveList(s, from, to);
         c.state[s] = ns;
-    }
-
-    /** Rate changes are control-plane (hour boundaries, MMPP
-     * flips); the per-arrival draw uses the cached mean gap. */
-    static void
-    setRate(Cell &c, double rate)
-    {
-        c.rate = rate;
-        c.meanGap = rate > 0.0 ? 1.0 / rate : 0.0;
-    }
-
-    unsigned
-    hourOf(double now) const
-    {
-        auto h = unsigned(now * invHourSeconds);
-        return std::min(h, cfg.hours - 1);
     }
 
     void
@@ -270,29 +160,11 @@ struct EnsembleSim {
                 c.state[s] == ServerState::Idle);
     }
 
-    std::uint64_t
-    load(const Cell &c, std::uint32_t s) const
+    detail::Probe
+    probe(const Cell &c, std::uint32_t s, double) const
     {
-        return std::uint64_t(c.busy[s]) + c.queued[s];
-    }
-
-    void
-    recordLatency(Cell &c, double latency, double now)
-    {
-        ++c.completed;
-        unsigned h = hourOf(now);
-        ++c.hourCompleted[h];
-        c.latencySum += latency;
-        c.hourLatencySum[h] += latency;
-        if (latency >= cfg.qosLatencySeconds) {
-            ++c.violations;
-            ++c.hourViolations[h];
-        }
-        auto bin = std::size_t(latency * invBinWidth);
-        if (bin < kLatencyBins)
-            ++c.latBins[bin];
-        else
-            ++c.latOverflow;
+        return {open(c, s), std::uint64_t(c.busy[s]) + c.queued[s],
+                c.queued[s]};
     }
 
     void
@@ -307,87 +179,29 @@ struct EnsembleSim {
     }
 
     void
-    beginWake(Cell &c, std::uint32_t s, double now)
+    beginTransition(Cell &c, std::uint32_t s, double now, bool boot)
     {
-        setState(c, s, ServerState::Waking, now);
-        ++c.wakes;
+        setState(c, s, boot ? ServerState::Booting : ServerState::Waking,
+                 now);
         EnsembleSim *sim = this;
         std::uint32_t ci = c.idx;
         sq.laneQueue(ci).schedule(
-            now + cfg.power.sleepWakeSeconds,
+            now + (boot ? cfg.power.bootSeconds
+                        : cfg.power.sleepWakeSeconds),
             [sim, ci, s] { sim->transitionDone(ci, s); });
     }
 
     void
-    beginBoot(Cell &c, std::uint32_t s, double now)
+    powerOff(Cell &c, std::uint32_t s, double now)
     {
-        setState(c, s, ServerState::Booting, now);
-        ++c.boots;
-        EnsembleSim *sim = this;
-        std::uint32_t ci = c.idx;
-        sq.laneQueue(ci).schedule(
-            now + cfg.power.bootSeconds,
-            [sim, ci, s] { sim->transitionDone(ci, s); });
+        cancelTimer(c, s);
+        setState(c, s, ServerState::Off, now);
     }
 
-    /** Wake capacity on demand: suspend resume if possible, else a
-     * full boot. Only called when the awake list is empty, so one of
-     * the other lists is not. */
-    std::uint32_t
-    wakeOne(Cell &c, double now)
+    bool
+    idleForPowerOff(const Cell &c, std::uint32_t s, double) const
     {
-        if (!c.asleep.empty()) {
-            std::uint32_t s =
-                c.asleep.size() == 1
-                    ? c.asleep[0]
-                    : c.asleep[c.rng.pick(c.asleep.size())];
-            beginWake(c, s, now);
-            return s;
-        }
-        WSC_ASSERT(!c.off.empty(), "cell lost all its servers");
-        std::uint32_t s =
-            c.off.size() == 1
-                ? c.off[0]
-                : c.off[c.rng.pick(c.off.size())];
-        beginBoot(c, s, now);
-        return s;
-    }
-
-    /** Power-of-two-choices pick over the awake list. AlwaysOn
-     * spreads (less loaded wins); the consolidating policies pack
-     * (fuller-but-open wins), so idle servers drain and sleep. */
-    std::uint32_t
-    pickServer(Cell &c, double now)
-    {
-        if (c.awake.empty())
-            return wakeOne(c, now);
-        std::uint32_t a, b;
-        if (c.awake.size() == 1) {
-            return c.awake[0];
-        }
-        a = c.awake[c.rng.pick(c.awake.size())];
-        b = c.awake[c.rng.pick(c.awake.size())];
-        if (a == b)
-            return a;
-        if (cfg.policy == EnsemblePolicy::AlwaysOn) {
-            std::uint64_t la = load(c, a), lb = load(c, b);
-            if (lb < la || (lb == la && b < a))
-                return b;
-            return a;
-        }
-        bool oa = open(c, a), ob = open(c, b);
-        if (oa != ob)
-            return oa ? a : b;
-        if (oa) {
-            std::uint64_t la = load(c, a), lb = load(c, b);
-            if (lb > la || (lb == la && b < a))
-                return b;
-            return a;
-        }
-        if (c.queued[b] < c.queued[a] ||
-            (c.queued[b] == c.queued[a] && b < a))
-            return b;
-        return a;
+        return c.state[s] == ServerState::Idle;
     }
 
     void
@@ -421,20 +235,18 @@ struct EnsembleSim {
     {
         Cell &c = cells[ci];
         double now = sq.laneQueue(ci).now();
-        std::uint32_t s = pickServer(c, now);
-        if (!open(c, s)) {
+        detail::Probe pr{};
+        std::uint32_t s = pickServer(c, now, pr);
+        if (!pr.open) {
             // Demand signal: the picked server has no free slot.
             if (cfg.policy != EnsemblePolicy::AlwaysOn &&
                 !c.asleep.empty()) {
                 // Wake a sleeper and hand it the job; the job eats
                 // the wake latency, which is exactly the QoS cost of
                 // consolidation the analytical model cannot see.
-                s = c.asleep.size() == 1
-                        ? c.asleep[0]
-                        : c.asleep[c.rng.pick(c.asleep.size())];
-                beginWake(c, s, now);
+                s = wakeSleeper(c, now);
             } else if (!forwarded && cfg.cells > 1 &&
-                       c.queued[s] >= cfg.spillDepth) {
+                       pr.queued >= cfg.spillDepth) {
                 // No local capacity left: pay the network latency
                 // and hand the job to a random remote cell.
                 // Forwarded jobs never re-spill, so no ping-pong.
@@ -539,6 +351,18 @@ struct EnsembleSim {
         }
     }
 
+    /** Rate changes are control-plane (hour boundaries, MMPP flips):
+     * cache the mean gap for the per-arrival draw and redraw the
+     * pending arrival. Exponential inter-arrivals are memoryless, so
+     * cancelling the pending arrival and redrawing at the new rate is
+     * an exact rate change, not an approximation. */
+    void
+    rateChanged(Cell &c, double now)
+    {
+        c.meanGap = c.rate > 0.0 ? 1.0 / c.rate : 0.0;
+        rescheduleArrival(c, now);
+    }
+
     void
     arrive(std::uint32_t ci)
     {
@@ -558,12 +382,8 @@ struct EnsembleSim {
         Cell &c = cells[ci];
         double now = sq.laneQueue(ci).now();
         c.inBurst = !c.inBurst;
-        setRate(c, c.baseRate *
-                       (c.inBurst ? cfg.mmpp.burstMultiplier : 1.0));
-        // Exponential inter-arrivals are memoryless, so cancelling
-        // the pending arrival and redrawing at the new rate is an
-        // exact rate change, not an approximation.
-        rescheduleArrival(c, now);
+        c.rate = burstRate(c);
+        rateChanged(c, now);
         double dwell = c.unitExp.next(c.arr) *
                        (c.inBurst ? cfg.mmpp.burstMeanSeconds
                                   : cfg.mmpp.calmMeanSeconds);
@@ -572,194 +392,57 @@ struct EnsembleSim {
             now + dwell, [sim, ci] { sim->mmppFlip(ci); });
     }
 
-    /** Close every server's energy integral at @p now, crediting the
-     * watt-seconds since the last sweep to @p hour. */
     void
-    sweepCell(Cell &c, double now, unsigned hour)
+    closeIntegrals(Cell &c, double now)
     {
         for (std::uint32_t s = 0; s < c.n; ++s)
             setState(c, s, c.state[s], now);
-        c.hourEnergyWs[hour] += c.energyWs;
-        c.energyWs = 0.0;
-        double active = c.stateSeconds[unsigned(ServerState::Active)];
-        c.hourActiveSeconds[hour] += active - c.sweptActiveSeconds;
-        c.sweptActiveSeconds = active;
     }
 
-    std::uint32_t
-    autoscaleTarget(const Cell &c)
+    /** Expected per-shard event occupancy: a completion per busy slot
+     * plus a governor timer per awake server, split across shards. */
+    std::size_t
+    reserveSize() const
     {
-        // Forecast busy servers for the hour, sized so their slots
-        // run at the autoscale utilization, plus the reserve margin.
-        double needBusy = c.baseRate * cfg.meanServiceSeconds /
-                          (double(cfg.serverSlots) *
-                           cfg.autoscaleUtilization);
-        auto target = std::uint32_t(
-            std::ceil(needBusy * (1.0 + cfg.reserveMargin)));
-        auto floor_ = std::uint32_t(std::max(
-            1.0, std::ceil(cfg.reserveMargin * double(c.n))));
-        target = std::max(target, floor_);
-        target = std::min(target, c.n);
-        if (cfg.powerCapWatts > 0.0) {
-            double maxTotal = std::floor(cfg.powerCapWatts /
-                                         cfg.power.busyWatts);
-            auto maxCell = std::uint32_t(std::max(
-                1.0, std::floor(maxTotal * double(c.n) /
-                                double(cfg.servers))));
-            if (target > maxCell) {
-                target = maxCell;
-                ++capClamps;
+        return std::size_t(cfg.servers) *
+                   (std::size_t(cfg.serverSlots) + 1) /
+                   std::max(1u, std::min(cfg.shards, cfg.cells)) +
+               1024;
+    }
+
+    void
+    startCell(Cell &c, std::uint32_t awakeN)
+    {
+        std::uint32_t ci = c.idx;
+        c.state.assign(c.n, ServerState::Idle);
+        std::fill(c.state.begin() + awakeN, c.state.end(),
+                  ServerState::Off);
+        c.busy.assign(c.n, 0);
+        c.queued.assign(c.n, 0);
+        c.qHead.assign(c.n, 0);
+        c.qTail.assign(c.n, 0);
+        c.timer.assign(c.n, 0);
+        c.lastChange.assign(c.n, 0.0);
+        // Expected arena occupancy: every slot of every server can
+        // hold an in-service job, plus queued headroom.
+        c.arena.reserve(std::size_t(c.n) * cfg.serverSlots + 256);
+
+        // Idle governors start armed under the sleeping policies.
+        if (cfg.policy != EnsemblePolicy::AlwaysOn) {
+            EnsembleSim *sim = this;
+            for (std::uint32_t s = 0; s < awakeN; ++s) {
+                c.timer[s] = sq.laneQueue(ci).schedule(
+                    cfg.power.idleToSleepSeconds,
+                    [sim, ci, s] { sim->sleepTimer(ci, s); });
             }
         }
-        return target;
-    }
-
-    void
-    autoscale(Cell &c, double now)
-    {
-        std::uint32_t target = autoscaleTarget(c);
-        auto cur = std::uint32_t(c.awake.size());
-        if (cur < target) {
-            std::uint32_t need = target - cur;
-            // Suspend resume is seconds, boot is tens of seconds:
-            // always drain the asleep pool first.
-            while (need > 0 && !c.asleep.empty()) {
-                beginWake(c, c.asleep.back(), now);
-                --need;
-            }
-            while (need > 0 && !c.off.empty()) {
-                beginBoot(c, c.off.back(), now);
-                --need;
-            }
-        } else if (cur > target) {
-            std::uint32_t excess = cur - target;
-            while (excess > 0 && !c.asleep.empty()) {
-                std::uint32_t s = c.asleep.back();
-                setState(c, s, ServerState::Off, now);
-                ++c.offs;
-                --excess;
-            }
-            if (excess > 0) {
-                // Only idle awake servers may power off; never a
-                // serving or transitioning one. Collected in awake-
-                // list order (deterministic), applied after.
-                std::vector<std::uint32_t> idlers;
-                for (std::uint32_t s : c.awake) {
-                    if (c.state[s] == ServerState::Idle) {
-                        idlers.push_back(s);
-                        if (idlers.size() == excess)
-                            break;
-                    }
-                }
-                for (std::uint32_t s : idlers) {
-                    cancelTimer(c, s);
-                    setState(c, s, ServerState::Off, now);
-                    ++c.offs;
-                }
-            }
-        }
-    }
-
-    void
-    programHour(Cell &c, unsigned hour, double now)
-    {
-        c.baseRate = peakRate * cfg.profile[hour] * double(c.n) /
-                     double(cfg.servers);
-        setRate(c, c.baseRate *
-                       (c.inBurst ? cfg.mmpp.burstMultiplier : 1.0));
-        rescheduleArrival(c, now);
-        if (cfg.policy == EnsemblePolicy::PowerOff)
-            autoscale(c, now);
-    }
-
-    /** Hour-boundary control plane, run single-threaded at the first
-     * barrier at or past each boundary. */
-    void
-    onBarrier(double now)
-    {
-        while (nextBoundary <= cfg.hours &&
-               double(nextBoundary) * hourSeconds <= now) {
-            unsigned k = nextBoundary++;
-            for (Cell &c : cells) {
-                sweepCell(c, now, k - 1);
-                if (k < cfg.hours)
-                    programHour(c, k, now);
-            }
-        }
-    }
-
-    void
-    setup()
-    {
-        cells.resize(cfg.cells);
-        for (std::uint32_t ci = 0; ci < cfg.cells; ++ci) {
-            Cell &c = cells[ci];
-            c.idx = ci;
-            std::uint32_t lo =
-                std::uint32_t(std::uint64_t(cfg.servers) * ci /
-                              cfg.cells);
-            std::uint32_t hi =
-                std::uint32_t(std::uint64_t(cfg.servers) *
-                              (ci + 1) / cfg.cells);
-            c.n = hi - lo;
-            c.rng = SplitMix64(seedFor(cfg.seed, "ensemble-dispatch",
-                                       std::uint64_t(ci)));
-            c.arr = SplitMix64(seedFor(cfg.seed, "ensemble-arrivals",
-                                       std::uint64_t(ci)));
-            c.state.assign(c.n, ServerState::Idle);
-            c.busy.assign(c.n, 0);
-            c.queued.assign(c.n, 0);
-            c.qHead.assign(c.n, 0);
-            c.qTail.assign(c.n, 0);
-            c.timer.assign(c.n, 0);
-            c.lastChange.assign(c.n, 0.0);
-            c.pos.resize(c.n);
-            c.hourEnergyWs.assign(cfg.hours, 0.0);
-            c.hourCompleted.assign(cfg.hours, 0);
-            c.hourViolations.assign(cfg.hours, 0);
-            c.hourLatencySum.assign(cfg.hours, 0.0);
-            c.hourActiveSeconds.assign(cfg.hours, 0.0);
-            c.latBins.assign(kLatencyBins, 0);
-            // Expected arena occupancy: every slot of every server
-            // can hold an in-service job, plus queued headroom.
-            c.arena.reserve(std::size_t(c.n) * cfg.serverSlots + 256);
-
-            // Initial condition: everyone awake and idle, except that
-            // PowerOff starts with only its hour-0 target on (no boot
-            // latency charged for the initial state).
-            c.baseRate = peakRate * cfg.profile[0] * double(c.n) /
-                         double(cfg.servers);
-            setRate(c, c.baseRate);
-            std::uint32_t awakeN = c.n;
-            if (cfg.policy == EnsemblePolicy::PowerOff)
-                awakeN = autoscaleTarget(c);
-            for (std::uint32_t s = 0; s < c.n; ++s) {
-                if (s < awakeN) {
-                    c.pos[s] = std::uint32_t(c.awake.size());
-                    c.awake.push_back(s);
-                } else {
-                    c.state[s] = ServerState::Off;
-                    c.pos[s] = std::uint32_t(c.off.size());
-                    c.off.push_back(s);
-                }
-            }
-            // Idle governors start armed under the sleeping policies.
-            if (cfg.policy != EnsemblePolicy::AlwaysOn) {
-                EnsembleSim *sim = this;
-                for (std::uint32_t s = 0; s < awakeN; ++s) {
-                    c.timer[s] = sq.laneQueue(ci).schedule(
-                        cfg.power.idleToSleepSeconds,
-                        [sim, ci, s] { sim->sleepTimer(ci, s); });
-                }
-            }
-            rescheduleArrival(c, 0.0);
-            if (cfg.mmpp.enabled) {
-                double dwell = c.unitExp.next(c.arr) *
-                               cfg.mmpp.calmMeanSeconds;
-                EnsembleSim *sim = this;
-                sq.laneQueue(ci).schedule(
-                    dwell, [sim, ci] { sim->mmppFlip(ci); });
-            }
+        rateChanged(c, 0.0);
+        if (cfg.mmpp.enabled) {
+            double dwell =
+                c.unitExp.next(c.arr) * cfg.mmpp.calmMeanSeconds;
+            EnsembleSim *sim = this;
+            sq.laneQueue(ci).schedule(
+                dwell, [sim, ci] { sim->mmppFlip(ci); });
         }
     }
 };
@@ -810,150 +493,8 @@ runEnsemble(const EnsembleConfig &cfg)
 {
     validateEnsembleConfig(cfg);
     if (cfg.fast.enabled)
-        return runEnsembleFast(cfg);
-
-    EnsembleSim sim(cfg);
-    // Expected per-shard event occupancy: a completion per busy slot
-    // plus a governor timer per awake server, split across shards.
-    sim.sq.reserve(std::size_t(cfg.servers) *
-                       (std::size_t(cfg.serverSlots) + 1) /
-                       std::max(1u, std::min(cfg.shards, cfg.cells)) +
-                   1024);
-    sim.setup();
-
-    unsigned workers = cfg.workers;
-    if (workers == 0)
-        workers = std::min(cfg.shards,
-                           std::max(1u, ThreadPool::defaultThreads()));
-
-    auto t0 = std::chrono::steady_clock::now();
-    auto stats = sim.sq.run(
-        sim.horizon, cfg.networkLatencySeconds, workers,
-        [&](sim::Time now) { sim.onBarrier(now); });
-    double wall =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-
-    EnsembleResult r;
-    r.servers = cfg.servers;
-    r.cells = cfg.cells;
-    r.hours = cfg.hours;
-    r.secondsPerHour = cfg.secondsPerHour;
-    r.policy = cfg.policy;
-    r.capClamps = sim.capClamps;
-
-    std::array<double, kServerStates> stateSeconds{};
-    std::vector<std::uint64_t> bins(kLatencyBins, 0);
-    std::uint64_t overflow = 0;
-    r.hourKWh.assign(cfg.hours, 0.0);
-    r.hourViolationFraction.assign(cfg.hours, 0.0);
-    std::vector<std::uint64_t> hourCompleted(cfg.hours, 0);
-    std::vector<std::uint64_t> hourViolations(cfg.hours, 0);
-
-    for (const Cell &c : sim.cells) {
-        r.offered += c.offered;
-        r.completed += c.completed;
-        r.violations += c.violations;
-        r.spilled += c.spilled;
-        r.wakes += c.wakes;
-        r.boots += c.boots;
-        r.sleeps += c.sleeps;
-        r.offs += c.offs;
-        r.meanLatency += c.latencySum;
-        overflow += c.latOverflow;
-        for (unsigned k = 0; k < kServerStates; ++k)
-            stateSeconds[k] += c.stateSeconds[k];
-        for (unsigned i = 0; i < kLatencyBins; ++i)
-            bins[i] += c.latBins[i];
-        for (unsigned h = 0; h < cfg.hours; ++h) {
-            r.hourKWh[h] += c.hourEnergyWs[h];
-            hourCompleted[h] += c.hourCompleted[h];
-            hourViolations[h] += c.hourViolations[h];
-        }
-    }
-
-    // Each simulated hour stands for a real 3600-second hour: mean
-    // watts over the compressed hour times 3600 s.
-    double wsToKWh = 1.0 / (1000.0 * cfg.secondsPerHour);
-    for (unsigned h = 0; h < cfg.hours; ++h) {
-        r.hourKWh[h] *= wsToKWh;
-        r.kWhPerDay += r.hourKWh[h];
-        if (hourCompleted[h] > 0)
-            r.hourViolationFraction[h] =
-                double(hourViolations[h]) /
-                double(hourCompleted[h]);
-    }
-
-    double daySeconds = sim.horizon;
-    r.meanActiveServers =
-        stateSeconds[unsigned(ServerState::Active)] / daySeconds;
-    r.meanAwakeServers =
-        (stateSeconds[unsigned(ServerState::Active)] +
-         stateSeconds[unsigned(ServerState::Idle)] +
-         stateSeconds[unsigned(ServerState::Waking)] +
-         stateSeconds[unsigned(ServerState::Booting)]) /
-        daySeconds;
-    for (unsigned k = 0; k < kServerStates; ++k)
-        r.stateFractions[k] =
-            stateSeconds[k] / (daySeconds * double(cfg.servers));
-
-    if (r.completed > 0) {
-        r.meanLatency /= double(r.completed);
-        auto quantile = [&](double q) {
-            double need = q * double(r.completed);
-            std::uint64_t cum = 0;
-            for (unsigned i = 0; i < kLatencyBins; ++i) {
-                cum += bins[i];
-                if (double(cum) >= need)
-                    return (double(i) + 0.5) * sim.binWidth;
-            }
-            return double(kLatencyBins) * sim.binWidth;
-        };
-        r.p50 = quantile(0.50);
-        r.p95 = quantile(0.95);
-        r.p99 = quantile(0.99);
-        r.qosViolationFraction =
-            double(r.violations) / double(r.completed);
-    } else {
-        r.meanLatency = 0.0;
-    }
-    std::uint64_t onTime = r.completed - r.violations;
-    r.qosAttainment =
-        r.offered > 0 ? double(onTime) / double(r.offered) : 1.0;
-    r.score = r.kWhPerDay / std::max(r.qosAttainment, 0.01);
-
-    auto kernel = sim.sq.counters();
-    r.eventsScheduled = kernel.scheduled;
-    r.eventsDispatched = kernel.dispatched;
-    r.crossCellMessages = stats.messages;
-    r.windows = stats.windows;
-    r.shardEvents = std::move(stats.shardDispatched);
-    r.meanWindowImbalance = stats.meanWindowImbalance;
-
-    r.fastMode = false;
-    r.cellHourUtilization.assign(std::size_t(cfg.cells) * cfg.hours,
-                                 0.0);
-    r.cellHourLatencyMean.assign(std::size_t(cfg.cells) * cfg.hours,
-                                 0.0);
-    r.cellHourCompleted.assign(std::size_t(cfg.cells) * cfg.hours, 0);
-    for (unsigned ci = 0; ci < cfg.cells; ++ci) {
-        const Cell &c = sim.cells[ci];
-        for (unsigned h = 0; h < cfg.hours; ++h) {
-            std::size_t i = std::size_t(ci) * cfg.hours + h;
-            r.cellHourUtilization[i] =
-                c.hourActiveSeconds[h] /
-                (double(c.n) * cfg.secondsPerHour);
-            r.cellHourCompleted[i] = c.hourCompleted[h];
-            if (c.hourCompleted[h] > 0)
-                r.cellHourLatencyMean[i] =
-                    c.hourLatencySum[h] /
-                    double(c.hourCompleted[h]);
-        }
-    }
-
-    r.wallSeconds = wall;
-    return r;
+        return detail::runFastEngine(cfg);
+    return detail::runEngine<EnsembleSim>(cfg);
 }
 
 } // namespace perfsim

@@ -176,6 +176,9 @@ struct EnsembleResult {
 
     double meanLatency = 0.0;
     double p50 = 0.0, p95 = 0.0, p99 = 0.0;
+    /** Completions past the latency histogram's last bin (4x the QoS
+     * deadline); quantiles that land there clamp to that edge. */
+    std::uint64_t latencyOverflow = 0;
     /** violations / completed. */
     double qosViolationFraction = 0.0;
     /** on-time completions / offered (uncompleted jobs count
@@ -218,12 +221,10 @@ struct EnsembleResult {
 /** Panic on a degenerate ensemble configuration. */
 void validateEnsembleConfig(const EnsembleConfig &cfg);
 
-/** Run one ensemble simulation (dispatches to the fast-mode/2 engine
- * when cfg.fast.enabled). */
+/** Run one ensemble simulation: the exact per-arrival engine, or the
+ * fast-mode/2 macro-event engine (perfsim/ensemble_fast.cc) when
+ * cfg.fast.enabled. */
 EnsembleResult runEnsemble(const EnsembleConfig &cfg);
-
-/** The fast-mode/2 macro-event engine (perfsim/ensemble_fast.cc). */
-EnsembleResult runEnsembleFast(const EnsembleConfig &cfg);
 
 } // namespace perfsim
 } // namespace wsc
