@@ -21,18 +21,14 @@
  * exit code.
  */
 
-#include <chrono>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "harness.hh"
 #include "perfsim/closed_loop.hh"
 #include "perfsim/perf_eval.hh"
 #include "platform/catalog.hh"
-#include "stats/equivalence.hh"
 #include "util/args.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
@@ -42,14 +38,6 @@ using namespace wsc;
 using namespace wsc::perfsim;
 
 namespace {
-
-double
-secondsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
 
 bool
 sameKernel(const sim::EventQueue::Counters &a,
@@ -96,31 +84,12 @@ struct Comparison {
     std::uint64_t events = 0;
     bool identical = false;
 
+    double speedup() const { return bench::ratio(oracleSec, pooledSec); }
+    double oracleReqPerSec() const { return bench::ratio(requests, oracleSec); }
+    double pooledReqPerSec() const { return bench::ratio(requests, pooledSec); }
     double
-    speedup() const
-    {
-        return pooledSec > 0.0 ? oracleSec / pooledSec : 0.0;
-    }
-    double
-    oracleReqPerSec() const
-    {
-        return oracleSec > 0.0 ? double(requests) / oracleSec : 0.0;
-    }
-    double
-    pooledReqPerSec() const
-    {
-        return pooledSec > 0.0 ? double(requests) / pooledSec : 0.0;
-    }
-    double
-    pooledEventsPerSec() const
-    {
-        return pooledSec > 0.0 ? double(events) / pooledSec : 0.0;
-    }
+    pooledEventsPerSec() const { return bench::ratio(events, pooledSec); }
 };
-
-/** Best-of-N timing: the minimum discards interference from a noisy
- * shared host, which the mean does not. */
-constexpr int kTimedReps = 3;
 
 Comparison
 compareDrivers(workloads::Benchmark b, const StationConfig &st,
@@ -135,22 +104,14 @@ compareDrivers(workloads::Benchmark b, const StationConfig &st,
     WSC_ASSERT(iw, "closed-loop bench needs an interactive workload");
 
     ClosedLoopResult oracle, pooled;
-    for (int rep = 0; rep < kTimedReps; ++rep) {
+    c.oracleSec = bench::bestOf([&] {
         Rng rng(seed);
-        auto t0 = std::chrono::steady_clock::now();
         oracle = runClosedLoopOracle(*iw, st, params, rng);
-        double sec = secondsSince(t0);
-        if (rep == 0 || sec < c.oracleSec)
-            c.oracleSec = sec;
-    }
-    for (int rep = 0; rep < kTimedReps; ++rep) {
+    });
+    c.pooledSec = bench::bestOf([&] {
         Rng rng(seed);
-        auto t0 = std::chrono::steady_clock::now();
         pooled = runClosedLoop(*iw, st, params, rng);
-        double sec = secondsSince(t0);
-        if (rep == 0 || sec < c.pooledSec)
-            c.pooledSec = sec;
-    }
+    });
 
     c.requests = totalCompleted(pooled);
     c.events = pooled.kernel.dispatched;
@@ -167,22 +128,11 @@ struct FastRow {
     std::uint64_t fastRequests = 0;
 
     double
-    exactReqPerSec() const
-    {
-        return exactSec > 0.0 ? double(exactRequests) / exactSec : 0.0;
-    }
-    double
-    fastReqPerSec() const
-    {
-        return fastSec > 0.0 ? double(fastRequests) / fastSec : 0.0;
-    }
+    exactReqPerSec() const { return bench::ratio(exactRequests, exactSec); }
+    double fastReqPerSec() const { return bench::ratio(fastRequests, fastSec); }
     /** Requests/sec ratio (request counts differ between the modes). */
     double
-    speedup() const
-    {
-        double ex = exactReqPerSec();
-        return ex > 0.0 ? fastReqPerSec() / ex : 0.0;
-    }
+    speedup() const { return bench::ratio(fastReqPerSec(), exactReqPerSec()); }
 };
 
 FastRow
@@ -205,26 +155,18 @@ compareFastMode(workloads::Benchmark b, const StationConfig &st,
     // identical runs and the best-of-kTimedReps picks the cleanest.
     constexpr int kBurst = 6;
     ClosedLoopResult er, fr;
-    for (int rep = 0; rep < kTimedReps; ++rep) {
-        auto t0 = std::chrono::steady_clock::now();
+    row.exactSec = bench::bestOf([&] {
         for (int i = 0; i < kBurst; ++i) {
             Rng rng(seed);
             er = runClosedLoop(*iw, st, exact, rng);
         }
-        double sec = secondsSince(t0) / kBurst;
-        if (rep == 0 || sec < row.exactSec)
-            row.exactSec = sec;
-    }
-    for (int rep = 0; rep < kTimedReps; ++rep) {
-        auto t0 = std::chrono::steady_clock::now();
+    }) / kBurst;
+    row.fastSec = bench::bestOf([&] {
         for (int i = 0; i < kBurst; ++i) {
             Rng rng(seed);
             fr = runClosedLoop(*iw, st, fast, rng);
         }
-        double sec = secondsSince(t0) / kBurst;
-        if (rep == 0 || sec < row.fastSec)
-            row.fastSec = sec;
-    }
+    }) / kBurst;
     row.exactRequests = totalCompleted(er);
     row.fastRequests = totalCompleted(fr);
     return row;
@@ -373,21 +315,23 @@ run(int argc, char **argv)
               << classic.epochs << " epochs x " << classic.epochSeconds
               << "s) ===\n\n";
 
+    auto stations = [&](workloads::Benchmark b) {
+        return ev.stationsFor(srvr2, workloads::makeBenchmark(b)->traits(),
+                              {});
+    };
+    // Bit-identity (exact mode) and the statistical gate (fast mode)
+    // are both correctness contracts; either failing fails the bench.
+    bench::Report report("closed_loop", 2);
     std::vector<Comparison> rows;
-    bool allIdentical = true;
     for (auto b : benches) {
-        auto wl = workloads::makeBenchmark(b);
-        auto *iw =
-            dynamic_cast<workloads::InteractiveWorkload *>(wl.get());
-        WSC_ASSERT(iw, "interactive workload expected");
-        auto st = ev.stationsFor(srvr2, iw->traits(), {});
+        auto st = stations(b);
         rows.push_back(
             compareDrivers(b, st, classic, 101, "classic"));
-        allIdentical = allIdentical && rows.back().identical;
         rows.push_back(
             compareDrivers(b, st, timeout, 202, "timeout"));
-        allIdentical = allIdentical && rows.back().identical;
     }
+    for (const auto &c : rows)
+        report.identity(c.name, c.identical);
 
     Table t({"Driver run", "Requests", "Oracle req/s", "Pooled req/s",
              "Pooled Mev/s", "Speedup", "Result"});
@@ -416,14 +360,8 @@ run(int argc, char **argv)
               << ", batched demand sampling) ===\n\n";
 
     std::vector<FastRow> fastRows;
-    for (auto b : benches) {
-        auto wl = workloads::makeBenchmark(b);
-        auto *iw =
-            dynamic_cast<workloads::InteractiveWorkload *>(wl.get());
-        WSC_ASSERT(iw, "interactive workload expected");
-        auto st = ev.stationsFor(srvr2, iw->traits(), {});
-        fastRows.push_back(compareFastMode(b, st, classic, 101));
-    }
+    for (auto b : benches)
+        fastRows.push_back(compareFastMode(b, stations(b), classic, 101));
 
     Table ft({"Workload", "Exact req/s", "Fast req/s", "Speedup"});
     for (const auto &f : fastRows)
@@ -457,12 +395,9 @@ run(int argc, char **argv)
     std::vector<stats::GateCheck> gateChecks;
     bool gatePassed = true;
     for (auto b : benches) {
-        auto wl = workloads::makeBenchmark(b);
-        auto *iw =
-            dynamic_cast<workloads::InteractiveWorkload *>(wl.get());
-        WSC_ASSERT(iw, "interactive workload expected");
-        auto st = ev.stationsFor(srvr2, iw->traits(), {});
-        auto verdict = equivalenceGateFor(b, st, classic, gateSeeds);
+        auto verdict =
+            equivalenceGateFor(b, stations(b), classic, gateSeeds);
+        report.gate(verdict);
         gatePassed = gatePassed && verdict.passed;
         gateChecks.insert(gateChecks.end(), verdict.checks.begin(),
                           verdict.checks.end());
@@ -477,95 +412,55 @@ run(int argc, char **argv)
     std::cout << "\nEquivalence gate: "
               << (gatePassed ? "PASSED" : "FAILED") << "\n";
 
-    std::ostringstream json;
-    json.setf(std::ios::fixed);
-    json.precision(6);
-    json << "{\n"
-         << "  \"bench\": \"closed_loop\",\n"
-         << "  \"schema_version\": 1,\n"
-         << "  \"config\": {\n"
-         << "    \"system\": \"srvr2\",\n"
-         << "    \"epochs\": " << classic.epochs << ",\n"
-         << "    \"epoch_seconds\": " << classic.epochSeconds << ",\n"
-         << "    \"timeout_seconds\": "
-         << timeout.requestTimeoutSeconds << ",\n"
-         << "    \"hardware_threads\": "
-         << std::thread::hardware_concurrency() << "\n"
-         << "  },\n"
-         << "  \"runs\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const auto &c = rows[i];
-        json << "    {\"run\": \"" << c.name
-             << "\", \"requests\": " << c.requests
-             << ", \"events\": " << c.events
-             << ", \"oracle_seconds\": " << c.oracleSec
-             << ", \"pooled_seconds\": " << c.pooledSec
-             << ", \"oracle_req_per_sec\": " << c.oracleReqPerSec()
-             << ", \"pooled_req_per_sec\": " << c.pooledReqPerSec()
-             << ", \"pooled_events_per_sec\": "
-             << c.pooledEventsPerSec()
-             << ", \"speedup\": " << c.speedup()
-             << ", \"bit_identical\": "
-             << (c.identical ? "true" : "false") << "}"
-             << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    json << "  ],\n"
-         << "  \"fast_mode\": {\n"
-         << "    \"contract\": \""
-         << sim::FastModeConfig::contractVersion() << "\",\n"
-         << "    \"gate_seeds\": " << gateSeeds.size() << ",\n"
-         << "    \"runs\": [\n";
-    for (std::size_t i = 0; i < fastRows.size(); ++i) {
-        const auto &f = fastRows[i];
-        json << "      {\"workload\": \"" << f.name
-             << "\", \"exact_seconds\": " << f.exactSec
-             << ", \"fast_seconds\": " << f.fastSec
-             << ", \"exact_requests\": " << f.exactRequests
-             << ", \"fast_requests\": " << f.fastRequests
-             << ", \"exact_req_per_sec\": " << f.exactReqPerSec()
-             << ", \"fast_req_per_sec\": " << f.fastReqPerSec()
-             << ", \"speedup\": " << f.speedup() << "}"
-             << (i + 1 < fastRows.size() ? "," : "") << "\n";
-    }
-    json << "    ],\n"
-         << "    \"gate\": [\n";
-    for (std::size_t i = 0; i < gateChecks.size(); ++i) {
-        const auto &c = gateChecks[i];
-        json << "      {\"check\": \"" << c.name << "\", \"kind\": \""
-             << c.kind << "\", \"statistic\": " << c.statistic
-             << ", \"p_value\": " << c.pValue << ", \"passed\": "
-             << (c.passed ? "true" : "false") << "}"
-             << (i + 1 < gateChecks.size() ? "," : "") << "\n";
-    }
-    json << "    ],\n"
-         << "    \"gate_passed\": " << (gatePassed ? "true" : "false")
-         << "\n"
-         << "  },\n"
-         << "  \"targets\": {\n"
-         << "    \"classic_3x\": " << (target ? "true" : "false")
-         << ",\n"
-         << "    \"fast_end_to_end_1_25x\": "
-         << (fastTarget ? "true" : "false")
-         << "\n"
-         << "  }\n"
-         << "}\n";
-
-    std::ofstream out(args.get("out"));
-    out << json.str();
-    std::cout << "\nWrote " << args.get("out") << "\n";
-
-    // Bit-identity (exact mode) and the statistical gate (fast mode)
-    // are both correctness contracts; either failing fails the bench.
-    return (allIdentical && gatePassed) ? 0 : 1;
+    auto &w = report.json();
+    w.key("config").beginObject()
+        .key("system").value("srvr2")
+        .key("epochs").value(std::uint64_t(classic.epochs))
+        .key("epoch_seconds").value(classic.epochSeconds)
+        .key("timeout_seconds").value(timeout.requestTimeoutSeconds)
+        .endObject();
+    w.key("runs").beginArray();
+    for (const auto &c : rows)
+        w.beginObject()
+            .key("run").value(c.name)
+            .key("requests").value(c.requests)
+            .key("events").value(c.events)
+            .key("oracle_seconds").value(c.oracleSec)
+            .key("pooled_seconds").value(c.pooledSec)
+            .key("oracle_req_per_sec").value(c.oracleReqPerSec())
+            .key("pooled_req_per_sec").value(c.pooledReqPerSec())
+            .key("pooled_events_per_sec").value(c.pooledEventsPerSec())
+            .key("speedup").value(c.speedup())
+            .key("bit_identical").value(c.identical)
+            .endObject();
+    w.endArray();
+    w.key("fast_mode").beginObject()
+        .key("contract").value(sim::FastModeConfig::contractVersion())
+        .key("gate_seeds").value(gateSeeds.size())
+        .key("runs").beginArray();
+    for (const auto &f : fastRows)
+        w.beginObject()
+            .key("workload").value(f.name)
+            .key("exact_seconds").value(f.exactSec)
+            .key("fast_seconds").value(f.fastSec)
+            .key("exact_requests").value(f.exactRequests)
+            .key("fast_requests").value(f.fastRequests)
+            .key("exact_req_per_sec").value(f.exactReqPerSec())
+            .key("fast_req_per_sec").value(f.fastReqPerSec())
+            .key("speedup").value(f.speedup())
+            .endObject();
+    w.endArray().key("gate");
+    bench::writeChecks(w, gateChecks);
+    w.key("gate_passed").value(gatePassed).endObject();
+    w.key("targets").beginObject()
+        .key("classic_3x").value(target)
+        .key("fast_end_to_end_1_25x").value(fastTarget)
+        .endObject();
+    return report.finish(args.get("out"));
 }
 
 int
 main(int argc, char **argv)
 {
-    try {
-        return run(argc, argv);
-    } catch (const FatalError &e) {
-        std::cerr << e.what() << "\n";
-        return 1;
-    }
+    return bench::runMain(argc, argv, run);
 }

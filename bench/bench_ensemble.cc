@@ -64,7 +64,7 @@
  * equally) and the best time per arm is kept — the least-contended
  * sample is the closest estimate of the true cost.
  *
- * Emits machine-readable BENCH_ensemble.json (schema v3, documented
+ * Emits machine-readable BENCH_ensemble.json (schema v4, documented
  * in README.md) so later PRs can track the trajectory; CI recomputes
  * it fresh and gates on bit_identical, the equivalence gate, plus the
  * calendar/heap serial throughput ratio against the committed
@@ -72,19 +72,15 @@
  */
 
 #include <algorithm>
-#include <chrono>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/diurnal.hh"
 #include "core/ensemble.hh"
+#include "harness.hh"
 #include "obs/run_report.hh"
 #include "perfsim/ensemble_sim.hh"
-#include "stats/equivalence.hh"
 #include "util/args.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
@@ -161,7 +157,7 @@ run(int argc, char **argv)
     double sph = args.getDouble("seconds-per-hour");
     if (sph <= 0.0)
         fatal("--seconds-per-hour must be positive");
-    unsigned hw = std::max(std::thread::hardware_concurrency(), 1u);
+    unsigned hw = bench::host().hardwareThreads;
 
     perfsim::EnsembleConfig cfg;
     cfg.servers = std::uint64_t(serversArg);
@@ -345,6 +341,10 @@ run(int argc, char **argv)
               << " seeds/side) ===\n";
     stats::EquivalenceSpec spec;
     stats::GateVerdict verdict;
+    auto addCheck = [&](stats::GateCheck c) {
+        verdict.passed = verdict.passed && c.passed;
+        verdict.checks.push_back(std::move(c));
+    };
     auto addPermCheck = [&](const std::string &name,
                             std::vector<std::vector<double>> exact,
                             std::vector<std::vector<double>> fast) {
@@ -356,8 +356,7 @@ run(int argc, char **argv)
         c.statistic = pk.statistic;
         c.pValue = pk.pValue;
         c.passed = pk.passes(spec.permAlpha);
-        verdict.passed = verdict.passed && c.passed;
-        verdict.checks.push_back(std::move(c));
+        addCheck(std::move(c));
     };
     auto addCiCheck = [&](const std::string &name,
                           const std::vector<double> &exact,
@@ -369,8 +368,7 @@ run(int argc, char **argv)
         c.statistic = ov.relGap;
         c.pValue = 1.0;
         c.passed = ov.overlap;
-        verdict.passed = verdict.passed && c.passed;
-        verdict.checks.push_back(std::move(c));
+        addCheck(std::move(c));
     };
     // Per-run extraction: [0] per-cell day-mean utilization, [1]
     // per-cell completion-weighted day latency, [2] per-(cell, hour)
@@ -472,8 +470,7 @@ run(int argc, char **argv)
         c.kind = "ordering";
         c.passed = fastPowerOffKWh < r.kWhPerDay;
         c.statistic = fastPowerOffKWh / r.kWhPerDay;
-        verdict.checks.push_back(c);
-        verdict.passed = verdict.passed && c.passed;
+        addCheck(std::move(c));
     }
     for (const auto &c : verdict.checks)
         std::cout << (c.passed ? "  pass  " : "  FAIL  ") << c.name
@@ -485,98 +482,67 @@ run(int argc, char **argv)
     std::cout << "Equivalence gate: "
               << (verdict.passed ? "PASS" : "FAIL") << "\n";
 
-    std::ostringstream json;
-    json.setf(std::ios::fixed);
-    json.precision(6);
-    json << "{\n"
-         << "  \"bench\": \"ensemble\",\n"
-         << "  \"schema_version\": 3,\n"
-         << "  \"config\": {\n"
-         << "    \"servers\": " << cfg.servers << ",\n"
-         << "    \"cells\": " << cfg.cells << ",\n"
-         << "    \"hours\": " << cfg.hours << ",\n"
-         << "    \"seconds_per_hour\": " << cfg.secondsPerHour
-         << ",\n"
-         << "    \"policy\": \"" << to_string(cfg.policy) << "\",\n"
-         << "    \"mmpp\": " << (cfg.mmpp.enabled ? "true" : "false")
-         << ",\n"
-         << "    \"lookahead_seconds\": " << cfg.networkLatencySeconds
-         << ",\n"
-         << "    \"seed\": " << cfg.seed << ",\n"
-         << "    \"reps\": " << reps << ",\n"
-         << "    \"gate_seeds\": " << gateSeeds << ",\n"
-         << "    \"fast_contract\": \""
-         << sim::EnsembleFastConfig::contractVersion() << "\",\n"
-         << "    \"hardware_threads\": " << hw << "\n"
-         << "  },\n"
-         << "  \"events_dispatched\": " << arms[0].events << ",\n"
-         << "  \"arms\": [\n";
-    for (std::size_t i = 0; i < arms.size(); ++i) {
-        const Arm &arm = arms[i];
-        json << "    {\"queue\": \"" << sim::queueKindName(arm.queue)
-             << "\", \"shards\": " << arm.shards
-             << ", \"workers\": " << arm.workers
-             << ", \"fast\": " << (arm.fast ? "true" : "false");
-        if (arm.skipped) {
-            json << ", \"skipped_oversubscribed\": true}";
-        } else {
+    bench::Report report("ensemble", 4);
+    report.identity("exact_and_fast_arm_groups", identical);
+    report.gate(verdict);
+    auto &w = report.json();
+    w.key("config").beginObject()
+        .key("servers").value(std::uint64_t(cfg.servers))
+        .key("cells").value(std::uint64_t(cfg.cells))
+        .key("hours").value(std::uint64_t(cfg.hours))
+        .key("seconds_per_hour").value(cfg.secondsPerHour)
+        .key("policy").value(to_string(cfg.policy))
+        .key("mmpp").value(cfg.mmpp.enabled)
+        .key("lookahead_seconds").value(cfg.networkLatencySeconds)
+        .key("seed").value(cfg.seed)
+        .key("reps").value(std::uint64_t(reps))
+        .key("gate_seeds").value(std::uint64_t(gateSeeds))
+        .key("fast_contract")
+        .value(sim::EnsembleFastConfig::contractVersion())
+        .endObject();
+    w.key("events_dispatched").value(arms[0].events);
+    w.key("arms").beginArray();
+    for (const Arm &arm : arms) {
+        w.beginObject()
+            .key("queue").value(sim::queueKindName(arm.queue))
+            .key("shards").value(std::uint64_t(arm.shards))
+            .key("workers").value(std::uint64_t(arm.workers))
+            .key("fast").value(arm.fast)
+            .key("skipped_oversubscribed").value(arm.skipped);
+        if (!arm.skipped) {
             const Arm &anchor = serialArm(arm.queue, arm.fast);
-            json << ", \"skipped_oversubscribed\": false"
-                 << ", \"best_wall_seconds\": " << arm.bestWall
-                 << ", \"events_per_sec\": " << eps(arm)
-                 << ", \"requests_per_sec\": " << rps(arm)
-                 << ", \"speedup_vs_serial\": "
-                 << anchor.bestWall / arm.bestWall
-                 << ", \"window_imbalance\": " << arm.imbalance
-                 << ", \"shard_events\": [";
-            for (std::size_t s = 0; s < arm.shardEvents.size(); ++s)
-                json << (s ? ", " : "") << arm.shardEvents[s];
-            json << "]}";
+            w.key("best_wall_seconds").value(arm.bestWall)
+                .key("events_per_sec").value(eps(arm))
+                .key("requests_per_sec").value(rps(arm))
+                .key("speedup_vs_serial")
+                .value(anchor.bestWall / arm.bestWall)
+                .key("window_imbalance").value(arm.imbalance)
+                .key("shard_events").beginArray();
+            for (auto e : arm.shardEvents)
+                w.value(e);
+            w.endArray();
         }
-        json << (i + 1 < arms.size() ? "," : "") << "\n";
+        w.endObject();
     }
-    json << "  ],\n"
-         << "  \"serial_events_per_sec\": {\"heap\": " << heapSerial
-         << ", \"calendar\": " << calSerial << "},\n"
-         << "  \"calendar_vs_heap_serial_ratio\": "
-         << calSerial / heapSerial << ",\n"
-         << "  \"fast_vs_exact_ratio\": " << fastVsExact << ",\n"
-         << "  \"equivalence_gate\": {\n"
-         << "    \"passed\": "
-         << (verdict.passed ? "true" : "false") << ",\n"
-         << "    \"seeds\": " << gateSeeds << ",\n"
-         << "    \"checks\": [\n";
-    for (std::size_t i = 0; i < verdict.checks.size(); ++i) {
-        const auto &c = verdict.checks[i];
-        json << "      {\"name\": \"" << c.name << "\", \"kind\": \""
-             << c.kind << "\", \"passed\": "
-             << (c.passed ? "true" : "false")
-             << ", \"statistic\": " << c.statistic
-             << ", \"p_value\": " << c.pValue << "}"
-             << (i + 1 < verdict.checks.size() ? "," : "") << "\n";
-    }
-    json << "    ]\n"
-         << "  },\n"
-         << "  \"single_thread_host\": "
-         << (hw < 2 ? "true" : "false") << ",\n"
-         << "  \"bit_identical\": "
-         << (identical ? "true" : "false") << "\n"
-         << "}\n";
-
-    std::ofstream out(args.get("out"));
-    out << json.str();
-    std::cout << "\nWrote " << args.get("out") << "\n";
-
-    return (identical && verdict.passed) ? 0 : 1;
+    w.endArray();
+    w.key("serial_events_per_sec").beginObject()
+        .key("heap").value(heapSerial)
+        .key("calendar").value(calSerial)
+        .endObject();
+    w.key("calendar_vs_heap_serial_ratio").value(calSerial / heapSerial);
+    w.key("fast_vs_exact_ratio").value(fastVsExact);
+    w.key("equivalence_gate").beginObject()
+        .key("passed").value(verdict.passed)
+        .key("seeds").value(std::uint64_t(gateSeeds))
+        .key("checks");
+    bench::writeChecks(w, verdict.checks);
+    w.endObject();
+    w.key("bit_identical").value(identical);
+    return report.finish(args.get("out"));
 }
 
 int
 main(int argc, char **argv)
 {
-    try {
-        return run(argc, argv);
-    } catch (const FatalError &e) {
-        std::cerr << e.what() << "\n";
-        return 1;
-    }
+    return bench::runMain(argc, argv, run);
 }

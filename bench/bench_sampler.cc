@@ -19,16 +19,13 @@
  * BENCH_sampler.json.
  */
 
-#include <chrono>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "harness.hh"
 #include "sim/batch_sampler.hh"
 #include "sim/distributions.hh"
-#include "stats/equivalence.hh"
 #include "util/args.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
@@ -38,125 +35,75 @@ using namespace wsc::sim;
 
 namespace {
 
-double
-secondsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
-/** Best-of-N timing: the minimum discards interference from a noisy
- * shared host, which the mean does not. */
-constexpr int kTimedReps = 3;
-
 struct SamplerRow {
-    std::string name;
-    std::string engine;  //!< uniform source of the batched side
-    std::string gate;    //!< "bit-identity" or "ks"
+    std::string engine; //!< uniform source of the batched side
+    /** The row's gate: name, "bit-identity" or "ks", verdict, and the
+     * KS p-value (1.0 on bit-identity rows). */
+    stats::GateCheck check;
     std::size_t tableEntries = 0;
     std::size_t draws = 0;
     double scalarSec = 0.0;
     double batchedSec = 0.0;
-    bool ok = false;
-    double ksP = 1.0; //!< KS-gated rows only
 
+    double scalarDrawsPerSec() const { return bench::ratio(draws, scalarSec); }
     double
-    scalarDrawsPerSec() const
-    {
-        return scalarSec > 0.0 ? double(draws) / scalarSec : 0.0;
-    }
-    double
-    batchedDrawsPerSec() const
-    {
-        return batchedSec > 0.0 ? double(draws) / batchedSec : 0.0;
-    }
-    double
-    speedup() const
-    {
-        return batchedSec > 0.0 ? scalarSec / batchedSec : 0.0;
-    }
+    batchedDrawsPerSec() const { return bench::ratio(draws, batchedSec); }
+    double speedup() const { return bench::ratio(scalarSec, batchedSec); }
 };
 
 SamplerRow
-compareZipf(const std::string &name, std::uint64_t items,
-            double exponent, std::size_t draws, std::uint64_t seed)
+newRow(const std::string &name, const std::string &engine,
+       const std::string &gate, std::size_t draws)
 {
     SamplerRow row;
-    row.name = name;
-    row.engine = "mt19937";
-    row.gate = "bit-identity";
-    row.tableEntries = std::size_t(items);
+    row.engine = engine;
+    row.check.name = name;
+    row.check.kind = gate;
     row.draws = draws;
-
-    ZipfDist dist(items, exponent);
-    std::vector<std::uint64_t> scalarOut(draws), batchedOut(draws);
-
-    for (int rep = 0; rep < kTimedReps; ++rep) {
-        Rng rng(seed);
-        auto t0 = std::chrono::steady_clock::now();
-        for (std::size_t i = 0; i < draws; ++i)
-            scalarOut[i] = dist.sampleRank(rng);
-        double sec = secondsSince(t0);
-        if (rep == 0 || sec < row.scalarSec)
-            row.scalarSec = sec;
-    }
-
-    SampleBatcher batcher;
-    for (int rep = 0; rep < kTimedReps; ++rep) {
-        Rng rng(seed);
-        auto t0 = std::chrono::steady_clock::now();
-        batcher.drawZipfRanks(dist, rng, batchedOut.data(), draws);
-        double sec = secondsSince(t0);
-        if (rep == 0 || sec < row.batchedSec)
-            row.batchedSec = sec;
-    }
-
-    row.ok = scalarOut == batchedOut;
     return row;
 }
 
 /**
- * The fast-mode configuration: batched draws over SplitMix64 uniforms
- * vs the scalar mt19937 path. Not bit-comparable, so the gate is a
- * two-sample KS test on the drawn ranks — with millions of draws per
- * side any law mismatch drives the p-value to ~0.
+ * Scalar mt19937 draws vs batched draws. With @p fast unset the
+ * batcher reads the same Rng, so the sequences must be bit-identical.
+ * With @p fast set it runs the fast-mode configuration: SplitMix64
+ * uniforms, same law but different bits, so the gate is a two-sample
+ * KS test on the drawn ranks — with millions of draws per side any
+ * law mismatch drives the p-value to ~0.
  */
 SamplerRow
-compareZipfFast(const std::string &name, std::uint64_t items,
-                double exponent, std::size_t draws, std::uint64_t seed)
+compareZipf(const std::string &name, std::uint64_t items,
+            double exponent, std::size_t draws, std::uint64_t seed,
+            bool fast = false)
 {
-    SamplerRow row;
-    row.name = name;
-    row.engine = "splitmix64";
-    row.gate = "ks";
+    SamplerRow row = newRow(name, fast ? "splitmix64" : "mt19937",
+                            fast ? "ks" : "bit-identity", draws);
     row.tableEntries = std::size_t(items);
-    row.draws = draws;
 
     ZipfDist dist(items, exponent);
     std::vector<std::uint64_t> scalarOut(draws), batchedOut(draws);
-
-    for (int rep = 0; rep < kTimedReps; ++rep) {
+    row.scalarSec = bench::bestOf([&] {
         Rng rng(seed);
-        auto t0 = std::chrono::steady_clock::now();
         for (std::size_t i = 0; i < draws; ++i)
             scalarOut[i] = dist.sampleRank(rng);
-        double sec = secondsSince(t0);
-        if (rep == 0 || sec < row.scalarSec)
-            row.scalarSec = sec;
-    }
+    });
 
     SampleBatcher batcher;
     std::uint64_t fastSeed = Rng(seed).stream("uniforms").seed();
-    for (int rep = 0; rep < kTimedReps; ++rep) {
-        SplitMix64 rng(fastSeed);
-        auto t0 = std::chrono::steady_clock::now();
-        batcher.drawZipfRanks(dist, rng, batchedOut.data(), draws);
-        double sec = secondsSince(t0);
-        if (rep == 0 || sec < row.batchedSec)
-            row.batchedSec = sec;
-    }
+    row.batchedSec = bench::bestOf([&] {
+        if (fast) {
+            SplitMix64 rng(fastSeed);
+            batcher.drawZipfRanks(dist, rng, batchedOut.data(), draws);
+        } else {
+            Rng rng(seed);
+            batcher.drawZipfRanks(dist, rng, batchedOut.data(), draws);
+        }
+    });
 
+    if (!fast) {
+        row.check.passed = scalarOut == batchedOut;
+        return row;
+    }
     // KS on (subsampled) ranks: the test is O(n log n) in sample size
     // and saturates in power long before millions of points.
     constexpr std::size_t kKsCap = 200000;
@@ -169,8 +116,9 @@ compareZipfFast(const std::string &name, std::uint64_t items,
         b.push_back(double(batchedOut[i]));
     }
     auto ks = stats::ksTwoSample(std::move(a), std::move(b));
-    row.ksP = ks.pValue;
-    row.ok = ks.passes(stats::EquivalenceSpec{}.ksAlpha);
+    row.check.statistic = ks.statistic;
+    row.check.pValue = ks.pValue;
+    row.check.passed = ks.passes(stats::EquivalenceSpec{}.ksAlpha);
     return row;
 }
 
@@ -178,11 +126,7 @@ SamplerRow
 compareEmpirical(const std::string &name, std::size_t draws,
                  std::uint64_t seed)
 {
-    SamplerRow row;
-    row.name = name;
-    row.engine = "mt19937";
-    row.gate = "bit-identity";
-    row.draws = draws;
+    SamplerRow row = newRow(name, "mt19937", "bit-identity", draws);
 
     // The websearch keyword-count mix: a 5-entry table, fully
     // cache-resident — the case where batching must at least not lose.
@@ -190,29 +134,20 @@ compareEmpirical(const std::string &name, std::size_t draws,
                        {0.28, 0.36, 0.22, 0.10, 0.04});
     row.tableEntries = dist.size();
     std::vector<std::uint32_t> scalarOut(draws), batchedOut(draws);
-
-    for (int rep = 0; rep < kTimedReps; ++rep) {
+    row.scalarSec = bench::bestOf([&] {
         Rng rng(seed);
-        auto t0 = std::chrono::steady_clock::now();
         for (std::size_t i = 0; i < draws; ++i)
             scalarOut[i] = std::uint32_t(dist.sampleIndex(rng));
-        double sec = secondsSince(t0);
-        if (rep == 0 || sec < row.scalarSec)
-            row.scalarSec = sec;
-    }
+    });
 
     SampleBatcher batcher;
-    for (int rep = 0; rep < kTimedReps; ++rep) {
+    row.batchedSec = bench::bestOf([&] {
         Rng rng(seed);
-        auto t0 = std::chrono::steady_clock::now();
         batcher.drawEmpiricalIndices(dist, rng, batchedOut.data(),
                                      draws);
-        double sec = secondsSince(t0);
-        if (rep == 0 || sec < row.batchedSec)
-            row.batchedSec = sec;
-    }
+    });
 
-    row.ok = scalarOut == batchedOut;
+    row.check.passed = scalarOut == batchedOut;
     return row;
 }
 
@@ -235,7 +170,7 @@ run(int argc, char **argv)
     std::size_t draws = std::size_t(drawsArg);
 
     std::cout << "=== Guide-table sampling throughput (" << draws
-              << " draws, best of " << kTimedReps << ") ===\n\n";
+              << " draws, best of " << bench::kTimedReps << ") ===\n\n";
 
     std::vector<SamplerRow> rows;
     // The closed-loop suite's actual tables: websearch terms (200k,
@@ -253,23 +188,24 @@ run(int argc, char **argv)
         compareZipf("zipf-10k (small table)", 10000, 0.9, draws, 33));
     rows.push_back(
         compareEmpirical("empirical-5 (keyword mix)", draws, 44));
-    rows.push_back(compareZipfFast("zipf-200k fast (websearch terms)",
-                                   200000, 0.95, draws, 11));
-    rows.push_back(compareZipfFast("zipf-100k fast (ytube popularity)",
-                                   100000, 0.9, draws, 22));
+    rows.push_back(compareZipf("zipf-200k fast (websearch terms)",
+                               200000, 0.95, draws, 11, true));
+    rows.push_back(compareZipf("zipf-100k fast (ytube popularity)",
+                               100000, 0.9, draws, 22, true));
 
+    bench::Report report("sampler", 1);
     Table t({"Table", "Engine", "Entries", "Scalar Mdraw/s",
              "Batched Mdraw/s", "Speedup", "Result"});
-    bool allOk = true;
     for (const auto &r : rows) {
-        allOk = allOk && r.ok;
+        report.gate(r.check);
         std::string result;
-        if (r.gate == "bit-identity")
-            result = r.ok ? "bit-identical" : "MISMATCH";
+        if (r.check.kind == "bit-identity")
+            result = r.check.passed ? "bit-identical" : "MISMATCH";
         else
-            result = (r.ok ? "KS pass p=" : "KS FAIL p=") +
-                     fmtF(r.ksP, 3);
-        t.addRow({r.name, r.engine, std::to_string(r.tableEntries),
+            result = (r.check.passed ? "KS pass p=" : "KS FAIL p=") +
+                     fmtF(r.check.pValue, 3);
+        t.addRow({r.check.name, r.engine,
+                  std::to_string(r.tableEntries),
                   fmtF(r.scalarDrawsPerSec() / 1e6, 2),
                   fmtF(r.batchedDrawsPerSec() / 1e6, 2),
                   fmtF(r.speedup(), 2) + "x", result});
@@ -285,54 +221,35 @@ run(int argc, char **argv)
     std::cout << "\nTarget: >= 2x on a workload-sized table "
               << (target ? "met" : "NOT MET") << "\n";
 
-    std::ostringstream json;
-    json.setf(std::ios::fixed);
-    json.precision(6);
-    json << "{\n"
-         << "  \"bench\": \"sampler\",\n"
-         << "  \"schema_version\": 1,\n"
-         << "  \"config\": {\n"
-         << "    \"draws\": " << draws << ",\n"
-         << "    \"reps\": " << kTimedReps << "\n"
-         << "  },\n"
-         << "  \"runs\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const auto &r = rows[i];
-        json << "    {\"table\": \"" << r.name
-             << "\", \"engine\": \"" << r.engine
-             << "\", \"gate\": \"" << r.gate
-             << "\", \"entries\": " << r.tableEntries
-             << ", \"scalar_seconds\": " << r.scalarSec
-             << ", \"batched_seconds\": " << r.batchedSec
-             << ", \"scalar_draws_per_sec\": " << r.scalarDrawsPerSec()
-             << ", \"batched_draws_per_sec\": "
-             << r.batchedDrawsPerSec()
-             << ", \"speedup\": " << r.speedup()
-             << ", \"ks_p_value\": " << r.ksP
-             << ", \"gate_passed\": " << (r.ok ? "true" : "false")
-             << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    json << "  ],\n"
-         << "  \"targets\": {\n"
-         << "    \"workload_table_2x\": " << (target ? "true" : "false")
-         << "\n"
-         << "  }\n"
-         << "}\n";
-
-    std::ofstream out(args.get("out"));
-    out << json.str();
-    std::cout << "\nWrote " << args.get("out") << "\n";
-
-    return allOk ? 0 : 1;
+    auto &w = report.json();
+    w.key("config").beginObject()
+        .key("draws").value(draws)
+        .key("reps").value(std::uint64_t(bench::kTimedReps))
+        .endObject();
+    w.key("runs").beginArray();
+    for (const auto &r : rows)
+        w.beginObject()
+            .key("table").value(r.check.name)
+            .key("engine").value(r.engine)
+            .key("gate").value(r.check.kind)
+            .key("entries").value(r.tableEntries)
+            .key("scalar_seconds").value(r.scalarSec)
+            .key("batched_seconds").value(r.batchedSec)
+            .key("scalar_draws_per_sec").value(r.scalarDrawsPerSec())
+            .key("batched_draws_per_sec").value(r.batchedDrawsPerSec())
+            .key("speedup").value(r.speedup())
+            .key("ks_p_value").value(r.check.pValue)
+            .key("gate_passed").value(r.check.passed)
+            .endObject();
+    w.endArray();
+    w.key("targets").beginObject()
+        .key("workload_table_2x").value(target)
+        .endObject();
+    return report.finish(args.get("out"));
 }
 
 int
 main(int argc, char **argv)
 {
-    try {
-        return run(argc, argv);
-    } catch (const FatalError &e) {
-        std::cerr << e.what() << "\n";
-        return 1;
-    }
+    return bench::runMain(argc, argv, run);
 }

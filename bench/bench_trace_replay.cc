@@ -20,14 +20,12 @@
  * Emits BENCH_trace_replay.json.
  */
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <vector>
 
+#include "harness.hh"
 #include "memblade/replacement.hh"
 #include "memblade/replay.hh"
 #include "memblade/trace_stream.hh"
@@ -39,16 +37,6 @@ using namespace wsc;
 using namespace wsc::memblade;
 
 namespace {
-
-constexpr int kTimedReps = 3;
-
-double
-secondsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
 
 bool
 sameStats(const ReplayStats &a, const ReplayStats &b)
@@ -123,7 +111,7 @@ run(int argc, char **argv)
         fatal("--zoo-accesses must be in [1, 1e8]");
     const auto zooAccesses = std::uint64_t(zooArg);
     const std::string tracePath = args.get("trace-file");
-    bool allIdentical = true;
+    bench::Report report("trace_replay", 1);
 
     // ----------------------------------------------------------------
     // 1. Streaming vs materialized throughput.
@@ -152,39 +140,28 @@ run(int argc, char **argv)
         w.close();
     }
 
-    double streamSec = 0.0;
     ReplayStats streamStats;
     bool usedMmap = false;
-    for (int rep = 0; rep < kTimedReps; ++rep) {
+    double streamSec = bench::bestOf([&] {
         TraceStream ts(tracePath);
         usedMmap = ts.mapped();
-        auto t0 = std::chrono::steady_clock::now();
-        auto st = replayStream(ts, PolicyKind::Lru, frames, Rng(4));
-        double sec = secondsSince(t0);
-        if (rep == 0 || sec < streamSec)
-            streamSec = sec;
-        streamStats = st;
-    }
+        streamStats = replayStream(ts, PolicyKind::Lru, frames, Rng(4));
+    });
 
     double matSec = 0.0;
     ReplayStats matStats;
     {
         auto trace = readTraceStreamPages(tracePath);
         std::uint64_t bound = traceStreamInfo(tracePath).pageBound;
-        for (int rep = 0; rep < kTimedReps; ++rep) {
-            auto t0 = std::chrono::steady_clock::now();
-            auto st = replayPages(trace.data(), trace.size(),
-                                  PolicyKind::Lru, frames, bound,
-                                  Rng(4));
-            double sec = secondsSince(t0);
-            if (rep == 0 || sec < matSec)
-                matSec = sec;
-            matStats = st;
-        }
+        matSec = bench::bestOf([&] {
+            matStats = replayPages(trace.data(), trace.size(),
+                                   PolicyKind::Lru, frames, bound,
+                                   Rng(4));
+        });
     }
 
     bool streamIdentical = sameStats(streamStats, matStats);
-    allIdentical = allIdentical && streamIdentical;
+    report.identity("stream_vs_materialized", streamIdentical);
     double streamRate = double(accesses) / streamSec;
     double matRate = double(accesses) / matSec;
     double ratio = matRate > 0.0 ? streamRate / matRate : 0.0;
@@ -230,7 +207,8 @@ run(int argc, char **argv)
         for (PolicyKind kind : allPolicyKinds) {
             auto cell =
                 zooCell(p.name, trace, p.footprintPages, kind, zf);
-            allIdentical = allIdentical && cell.oracleIdentical;
+            report.identity(p.name + " " + cell.policy,
+                            cell.oracleIdentical);
             row.push_back(fmtPct(cell.hitRate, 2) +
                           (cell.oracleIdentical ? "" : " (MISMATCH)"));
             cells.push_back(cell);
@@ -238,61 +216,37 @@ run(int argc, char **argv)
         zoo.addRow(row);
     }
     zoo.print(std::cout);
+    bool allIdentical = report.passed();
     std::cout << "\nOracle gate: every kernel vs per-access reference "
               << (allIdentical ? "identical" : "MISMATCH") << "\n";
 
-    // ----------------------------------------------------------------
-    // JSON report.
-    // ----------------------------------------------------------------
-    std::ostringstream json;
-    json.setf(std::ios::fixed);
-    json.precision(6);
-    json << "{\n"
-         << "  \"bench\": \"trace_replay\",\n"
-         << "  \"schema_version\": 1,\n"
-         << "  \"streaming\": {\n"
-         << "    \"accesses\": " << accesses << ",\n"
-         << "    \"mmap\": " << (usedMmap ? "true" : "false") << ",\n"
-         << "    \"stream_pages_per_sec\": " << streamRate << ",\n"
-         << "    \"materialized_pages_per_sec\": " << matRate << ",\n"
-         << "    \"ratio\": " << ratio << ",\n"
-         << "    \"target_0p8\": "
-         << (throughputTarget ? "true" : "false") << ",\n"
-         << "    \"bit_identical\": "
-         << (streamIdentical ? "true" : "false") << "\n"
-         << "  },\n"
-         << "  \"zoo\": {\n"
-         << "    \"accesses_per_cell\": " << zooAccesses << ",\n"
-         << "    \"cells\": [\n";
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const auto &c = cells[i];
-        json << "      {\"workload\": \"" << c.workload
-             << "\", \"policy\": \"" << c.policy
-             << "\", \"hit_rate\": " << c.hitRate
-             << ", \"oracle_identical\": "
-             << (c.oracleIdentical ? "true" : "false") << "}"
-             << (i + 1 < cells.size() ? "," : "") << "\n";
-    }
-    json << "    ]\n"
-         << "  },\n"
-         << "  \"all_identical\": "
-         << (allIdentical ? "true" : "false") << "\n"
-         << "}\n";
-
-    std::ofstream out(args.get("out"));
-    out << json.str();
-    std::cout << "\nWrote " << args.get("out") << "\n";
-
-    return allIdentical ? 0 : 1;
+    auto &w = report.json();
+    w.key("streaming").beginObject()
+        .key("accesses").value(accesses)
+        .key("mmap").value(usedMmap)
+        .key("stream_pages_per_sec").value(streamRate)
+        .key("materialized_pages_per_sec").value(matRate)
+        .key("ratio").value(ratio)
+        .key("target_0p8").value(throughputTarget)
+        .key("bit_identical").value(streamIdentical)
+        .endObject();
+    w.key("zoo").beginObject()
+        .key("accesses_per_cell").value(zooAccesses)
+        .key("cells").beginArray();
+    for (const auto &c : cells)
+        w.beginObject()
+            .key("workload").value(c.workload)
+            .key("policy").value(c.policy)
+            .key("hit_rate").value(c.hitRate)
+            .key("oracle_identical").value(c.oracleIdentical)
+            .endObject();
+    w.endArray().endObject();
+    w.key("all_identical").value(allIdentical);
+    return report.finish(args.get("out"));
 }
 
 int
 main(int argc, char **argv)
 {
-    try {
-        return run(argc, argv);
-    } catch (const FatalError &e) {
-        std::cerr << e.what() << "\n";
-        return 1;
-    }
+    return bench::runMain(argc, argv, run);
 }

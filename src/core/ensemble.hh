@@ -34,10 +34,10 @@ struct EnsembleEvalParams {
 
     unsigned cells = 16;   //!< dispatch domains (model topology)
     unsigned shards = 1;   //!< physical event queues (execution knob)
-    unsigned workers = 1;  //!< threads (0 = min(shards, hardware))
-    /** Event-ordering backend (execution knob; heap is the oracle,
-     * calendar the fast path — results are byte-identical). */
-    sim::QueueKind queue = sim::QueueKind::Heap;
+    unsigned workers = 1;  //!< threads (0 = min(shards, allowed CPUs))
+    /** Event-ordering backend (execution knob; calendar by default,
+     * heap as the oracle — results are byte-identical). */
+    sim::QueueKind queue = sim::QueueKind::Calendar;
     unsigned hours = 24;
     /** Duty-cycle compression: simulated seconds per modeled hour. */
     double secondsPerHour = 5.0;

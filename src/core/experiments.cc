@@ -109,9 +109,6 @@ allExperiments()
          "216-design Pareto frontier", "bench_design_space", ""},
         {"kernel", ExperimentKind::Extension,
          "Simulation-kernel microbenchmarks", "bench_kernel", ""},
-        {"parallel-sweep", ExperimentKind::Extension,
-         "Serial vs N-thread sweep wall-clock + DES fast path",
-         "bench_parallel_sweep", ""},
     };
     return registry;
 }

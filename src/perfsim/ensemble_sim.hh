@@ -100,13 +100,14 @@ struct EnsembleConfig {
      * changes results, unlike shards/workers. */
     unsigned cells = 16;
     unsigned shards = 1;  //!< physical event queues (execution knob)
-    /** Threads executing shards; 0 = min(shards, hardware). */
+    /** Threads executing shards; 0 = min(shards, defaultThreads()). */
     unsigned workers = 1;
     /** Event-ordering backend of every shard queue. An execution
      * knob like shards/workers: both backends dispatch the identical
      * (time, seq) order, so results are byte-identical either way.
-     * The heap is the oracle; the calendar is the fast path. */
-    sim::QueueKind queue = sim::QueueKind::Heap;
+     * The calendar is the default fast path; the heap stays
+     * selectable as the oracle. */
+    sim::QueueKind queue = sim::QueueKind::Calendar;
 
     unsigned hours = 24;  //!< simulated hours (indexes the profile)
     /** Duty-cycle compression: each simulated hour lasts this many

@@ -138,7 +138,9 @@ struct EquivalenceSpec {
 /** One named check inside a gate verdict. */
 struct GateCheck {
     std::string name;
-    std::string kind; //!< "ks" or "ci-overlap"
+    /** "ks", "ci-overlap", "perm-ks", "ordering", or (bench
+     * identity gates) "bit-identity". */
+    std::string kind;
     bool passed = false;
     double statistic = 0.0; //!< KS D, or relative mean gap
     double pValue = 1.0;    //!< KS only; 1.0 for CI checks

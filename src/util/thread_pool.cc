@@ -6,6 +6,8 @@
 #include <exception>
 #include <memory>
 
+#include <sched.h>
+
 #include "util/logging.hh"
 
 namespace wsc {
@@ -94,6 +96,19 @@ ThreadPool::defaultThreads()
         if (n > 0)
             return unsigned(n);
         warn("ignoring non-positive WSC_THREADS value");
+    }
+    return allowedCpus();
+}
+
+unsigned
+ThreadPool::allowedCpus()
+{
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+        int n = CPU_COUNT(&mask);
+        if (n > 0)
+            return unsigned(n);
     }
     unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;

@@ -13,7 +13,8 @@
  * Thread count resolution, highest priority first:
  *  1. an explicit count passed by the caller,
  *  2. the WSC_THREADS environment variable,
- *  3. std::thread::hardware_concurrency().
+ *  3. allowedCpus(): the CPUs the process's affinity mask permits
+ *     (so `taskset -c 0` yields one worker, not one per core).
  */
 
 #ifndef WSC_UTIL_THREAD_POOL_HH
@@ -54,8 +55,15 @@ class ThreadPool
     /** Block until every queued and running job has finished. */
     void wait();
 
-    /** WSC_THREADS if set and positive, else hardware concurrency. */
+    /** WSC_THREADS if set and positive, else allowedCpus(). */
     static unsigned defaultThreads();
+
+    /**
+     * CPUs the calling thread may run on (sched_getaffinity). Where
+     * the mask is unavailable, falls back to the online-CPU count,
+     * which ignores the mask. Always >= 1.
+     */
+    static unsigned allowedCpus();
 
     /**
      * The process-wide pool used by parallelFor() when no pool is

@@ -91,6 +91,28 @@ TEST(ParallelDeterminism, BatchMatchesSerialAtEveryWidth)
     }
 }
 
+TEST(ParallelDeterminism, FullDesignSpaceSweepMatchesSerial)
+{
+    // The whole 216-design screen on the batch workload, at the
+    // stage-1 screening windows: the sweep wrapper itself, not only
+    // the batch evaluator under it, must not depend on the pool width.
+    EvaluatorParams params;
+    params.search.window.warmupSeconds = 4.0;
+    params.search.window.measureSeconds = 20.0;
+    params.search.iterations = 7;
+    auto designs = enumerateDesigns();
+    ASSERT_EQ(designs.size(), 216u);
+
+    ThreadPool serialPool(1), widePool(4);
+    DesignEvaluator serialEval(params), wideEval(params);
+    auto serial = evaluateSweep(serialEval, designs,
+                                workloads::Benchmark::MapredWc,
+                                &serialPool);
+    auto wide = evaluateSweep(wideEval, designs,
+                              workloads::Benchmark::MapredWc, &widePool);
+    expectBitIdentical(serial.metrics, wide.metrics);
+}
+
 TEST(ParallelDeterminism, WarmCacheReturnsSameBits)
 {
     auto cells = sweepCells();

@@ -6,14 +6,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/hash.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
+
+#include <sched.h>
 
 namespace {
 
@@ -30,6 +35,35 @@ TEST(ThreadPool, ZeroSelectsDefaultThreads)
     ThreadPool pool(0);
     EXPECT_EQ(pool.threads(), ThreadPool::defaultThreads());
     EXPECT_GE(pool.threads(), 1u);
+}
+
+TEST(ThreadPool, DefaultThreadsHonorsAffinityMask)
+{
+    // hardware_concurrency() counts every online CPU; a process
+    // pinned to one (taskset -c N) must still get one default worker.
+    cpu_set_t saved;
+    ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+    int first = 0;
+    while (!CPU_ISSET(first, &saved))
+        ++first;
+    std::optional<std::string> env;
+    if (const char *e = std::getenv("WSC_THREADS"))
+        env = e;
+    unsetenv("WSC_THREADS");
+
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    unsigned pinned = ThreadPool::defaultThreads();
+    unsigned pinnedCpus = ThreadPool::allowedCpus();
+
+    ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+    if (env)
+        setenv("WSC_THREADS", env->c_str(), 1);
+    EXPECT_EQ(pinned, 1u);
+    EXPECT_EQ(pinnedCpus, 1u);
+    EXPECT_EQ(ThreadPool::allowedCpus(), unsigned(CPU_COUNT(&saved)));
 }
 
 TEST(ThreadPool, PostedJobsAllRun)

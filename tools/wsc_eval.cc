@@ -130,7 +130,7 @@ main(int argc, char **argv)
         .addOption("activity", "activity factor (0, 1]", "0.75")
         .addOption("threads",
                    "worker threads for the simulations "
-                   "(0 = hardware concurrency)",
+                   "(0 = WSC_THREADS, else every allowed CPU)",
                    "0")
         .addOption("report",
                    "write a structured JSON run report to this path", "")
@@ -173,12 +173,12 @@ main(int argc, char **argv)
                    "1")
         .addOption("ensemble-workers",
                    "threads executing the shards (0 = min(shards, "
-                   "hardware))",
+                   "allowed CPUs))",
                    "1")
         .addOption("ensemble-queue",
-                   "event-queue backend: heap|calendar (execution "
+                   "event-queue backend: calendar|heap (execution "
                    "knob; results are byte-identical)",
-                   "heap")
+                   "calendar")
         .addOption("ensemble-hours", "simulated hours", "24")
         .addOption("ensemble-seconds-per-hour",
                    "duty-cycle compression: simulated seconds per "
@@ -369,7 +369,7 @@ main(int argc, char **argv)
             ep.workers = unsigned(eWorkers);
             if (!sim::parseQueueKind(args.get("ensemble-queue"),
                                      ep.queue))
-                fatal("--ensemble-queue must be heap|calendar");
+                fatal("--ensemble-queue must be calendar|heap");
             // Couple the fleet to the evaluated design: its relative
             // performance (harmonic mean over the suite, vs the
             // baseline) scales per-request service demand, so the
