@@ -6,10 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
+#include <ios>
+
 #include "perfsim/cluster_sim.hh"
 #include "perfsim/perf_eval.hh"
 #include "platform/catalog.hh"
+#include "util/hash.hh"
 #include "util/logging.hh"
+#include "workloads/webmail.hh"
+#include "workloads/websearch.hh"
 #include "workloads/ytube.hh"
 
 namespace {
@@ -33,6 +40,65 @@ fastWindow()
     SimWindow w;
     w.warmupSeconds = 3.0;
     w.measureSeconds = 15.0;
+    return w;
+}
+
+std::uint64_t
+mix(std::uint64_t h, double v)
+{
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    return hashCombine(h, bits);
+}
+
+/** Digest of every SimResult field plus the caller's next RNG draw
+ * (which pins the run's draw count). */
+std::uint64_t
+digest(const SimResult &r, Rng &rng)
+{
+    std::uint64_t h = mix(0, r.offeredRps);
+    for (std::uint64_t v : {r.offered, r.completed,
+                            std::uint64_t(r.saturated),
+                            std::uint64_t(r.peakInFlight)})
+        h = hashCombine(h, v);
+    for (double v : {r.p50Latency, r.p95Latency, r.p99Latency,
+                     r.meanLatency, r.qosViolationFraction,
+                     r.cpuUtilization, r.diskUtilization,
+                     r.nicUtilization})
+        h = mix(h, v);
+    for (const auto &s : r.stations) {
+        h = hashCombine(h, s.name);
+        h = mix(mix(h, s.utilization), s.meanDepth);
+        h = hashCombine(hashCombine(h, s.completed),
+                        std::uint64_t(s.peakDepth));
+    }
+    for (std::uint64_t v :
+         {r.kernel.scheduled, r.kernel.dispatched, r.kernel.cancelled,
+          r.kernel.compactions, std::uint64_t(r.kernel.peakHeap)})
+        h = hashCombine(h, v);
+    return hashCombine(h, rng.uniformInt(0, ~std::uint64_t(0)));
+}
+
+/** Digest of every ClusterSimResult field plus the next RNG draw. */
+std::uint64_t
+digest(const ClusterSimResult &r, Rng &rng)
+{
+    std::uint64_t h = mix(0, r.offeredRps);
+    h = hashCombine(hashCombine(h, r.completed),
+                    std::uint64_t(r.saturated));
+    for (double v : {r.p95Latency, r.qosViolationFraction,
+                     r.meanCpuUtilization, r.maxCpuUtilization})
+        h = mix(h, v);
+    return hashCombine(h, rng.uniformInt(0, ~std::uint64_t(0)));
+}
+
+SimWindow
+pinWindow(bool fast)
+{
+    SimWindow w;
+    w.warmupSeconds = 2.0;
+    w.measureSeconds = 10.0;
+    w.fastMode.enabled = fast;
     return w;
 }
 
@@ -119,6 +185,111 @@ TEST(ClusterSim, SingleServerClusterMatchesSingleSearch)
     auto scaling = measureClusterScaling(
         yt, st, 1, DispatchPolicy::RoundRobin, sp, rng);
     EXPECT_NEAR(scaling.scalingEfficiency, 1.0, 0.15);
+}
+
+// Every SimResult field at a moderate and an overloaded rate, exact
+// and fast mode, recorded before simulateInteractive became the
+// one-server run of the cluster engine.
+TEST(SimulateInteractive, ResultBytesPinned)
+{
+    const std::array<std::uint64_t, 4> want = {
+        0x6f20479c24b99513ULL, 0xa91b44305bb823a0ULL,
+        0x6e02cd825123d0e9ULL, 0x1474fa4453ce2fcaULL};
+    auto st = stations();
+    std::size_t i = 0;
+    for (bool fast : {false, true})
+        for (double rps : {60.0, 400.0}) {
+            workloads::Ytube yt;
+            Rng rng(60 + i);
+            auto r = simulateInteractive(yt, st, rps, pinWindow(fast),
+                                         rng);
+            std::uint64_t d = digest(r, rng);
+            EXPECT_EQ(d, want[i]) << "case " << i << ": 0x" << std::hex
+                                  << d;
+            ++i;
+        }
+}
+
+// Every ClusterSimResult field for all four dispatch policies at a
+// moderate and an overloaded rate, exact and fast mode.
+TEST(ClusterSim, ResultBytesPinned)
+{
+    const std::array<std::uint64_t, 16> want = {
+        0x0c418a422aaa71abULL, 0x3989542a7a69c66eULL,
+        0x885147be1f357aedULL, 0x768365251ea02ff3ULL,
+        0x36871ec1bc9e0dcfULL, 0xa7eb6c7d27c2a8a7ULL,
+        0xf95255bc7052e7bfULL, 0xd9ed1c5d88523229ULL,
+        0xd84d1f56e25d900eULL, 0xc8121545b61982adULL,
+        0x7dff0a14bf9fbb83ULL, 0x976a2b458b4fdca6ULL,
+        0x792e04b5f4f04393ULL, 0x63b78cde1c485b89ULL,
+        0xebcc18e89a3c6e2eULL, 0x9a953604a75052d9ULL};
+    auto st = stations();
+    std::size_t i = 0;
+    for (bool fast : {false, true})
+        for (double rps : {200.0, 800.0})
+            for (auto policy :
+                 {DispatchPolicy::RoundRobin, DispatchPolicy::Random,
+                  DispatchPolicy::LeastOutstanding,
+                  DispatchPolicy::TwoChoices}) {
+                workloads::Ytube yt;
+                Rng rng(70 + i);
+                auto r = simulateCluster(yt, st, 4, policy, rps,
+                                         pinWindow(fast), rng);
+                std::uint64_t d = digest(r, rng);
+                EXPECT_EQ(d, want[i]) << "case " << i << " ("
+                                      << to_string(policy) << "): 0x"
+                                      << std::hex << d;
+                ++i;
+            }
+}
+
+// The aggregation check's base case: a one-server round-robin cluster
+// is simulateInteractive, field for field, and leaves the caller's RNG
+// in the same state.
+TEST(ClusterSim, SingleServerEqualsSimulateInteractive)
+{
+    PerfEvaluator ev;
+    workloads::Ytube yt;
+    workloads::Websearch ws;
+    workloads::Webmail wm;
+    std::uint64_t seed = 80;
+    for (workloads::InteractiveWorkload *w :
+         {static_cast<workloads::InteractiveWorkload *>(&yt),
+          static_cast<workloads::InteractiveWorkload *>(&ws),
+          static_cast<workloads::InteractiveWorkload *>(&wm)})
+        for (auto sys : {platform::SystemClass::Srvr1,
+                         platform::SystemClass::Emb1}) {
+            auto st = ev.stationsFor(platform::makeSystem(sys),
+                                     w->traits(), {});
+            double bound = analyticBound(*w, st);
+            for (double load : {0.3, 0.7, 0.95, 1.3})
+                for (bool fast : {false, true}) {
+                    SCOPED_TRACE(w->name() + " load " +
+                                 std::to_string(load) +
+                                 (fast ? " fast" : " exact"));
+                    ++seed;
+                    Rng r1(seed), r2(seed);
+                    auto one = simulateInteractive(
+                        *w, st, load * bound, pinWindow(fast), r1);
+                    auto c = simulateCluster(
+                        *w, st, 1, DispatchPolicy::RoundRobin,
+                        load * bound, pinWindow(fast), r2);
+                    EXPECT_EQ(c.offeredRps, one.offeredRps);
+                    EXPECT_EQ(c.completed, one.completed);
+                    EXPECT_EQ(c.p95Latency, one.p95Latency);
+                    EXPECT_EQ(c.qosViolationFraction,
+                              one.qosViolationFraction);
+                    EXPECT_EQ(c.meanCpuUtilization, one.cpuUtilization);
+                    EXPECT_EQ(c.maxCpuUtilization, one.cpuUtilization);
+                    EXPECT_EQ(c.saturated,
+                              one.saturated ||
+                                  double(one.completed) <
+                                      0.97 * double(one.offered));
+                    EXPECT_EQ(c.passes(w->qos()), one.passes(w->qos()));
+                    EXPECT_EQ(r1.uniformInt(0, ~std::uint64_t(0)),
+                              r2.uniformInt(0, ~std::uint64_t(0)));
+                }
+        }
 }
 
 TEST(ClusterSim, InvalidArgsPanic)
