@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <memory>
-#include <vector>
 
-#include "perfsim/calibration.hh"
+#include "perfsim/request_pipeline.hh"
 #include "util/hash.hh"
 #include "util/logging.hh"
 
@@ -15,10 +15,8 @@ namespace faults {
 namespace {
 
 /** One server's stations plus routing state. */
-struct Node {
-    std::unique_ptr<sim::PsResource> cpu;
-    std::unique_ptr<sim::FifoResource> disk;
-    std::unique_ptr<sim::PsResource> nic;
+struct Node : perfsim::ServerStations {
+    using ServerStations::ServerStations;
     std::size_t inFlight = 0;
     bool up = true;
 };
@@ -29,11 +27,9 @@ struct Req {
     unsigned attempts = 0;
     bool resolved = false; //!< completed or given up
     sim::EventId timeoutEv = 0;
-    // Demands drawn once at first issue; retries resend the same work
+    // Work drawn once at first issue; retries resend the same work
     // (no extra RNG draws, so fault timing never perturbs the stream).
-    double cpuWork = 0.0;
-    double diskService = 0.0;
-    double netMb = 0.0;
+    perfsim::RequestWork work;
 };
 
 } // namespace
@@ -59,33 +55,25 @@ simulateAvailability(workloads::InteractiveWorkload &workload,
     sim::EventQueue eq;
     FaultInjector injector(eq, params.injector, params.servers);
 
-    std::vector<Node> nodes(params.servers);
-    for (unsigned i = 0; i < params.servers; ++i) {
-        // Owner-tag each server's events with its (1-based) id so a
-        // crash can retire them in bulk; client timers stay untagged
-        // and survive the crash to drive retries.
-        std::uint64_t tag = i + 1;
-        auto suffix = std::to_string(i);
-        nodes[i].cpu = std::make_unique<sim::PsResource>(
-            eq, "cpu" + suffix, st.cpuCapacityGHz, st.cpuSlots, tag);
-        nodes[i].disk = std::make_unique<sim::FifoResource>(
-            eq, "disk" + suffix, 1, tag);
-        nodes[i].nic = std::make_unique<sim::PsResource>(
-            eq, "nic" + suffix, st.nicMBs, 1, tag);
-    }
+    // Owner-tag each server's events with its (1-based) id so a crash
+    // can retire them in bulk; client timers stay untagged and survive
+    // the crash to drive retries.
+    std::deque<Node> nodes;
+    for (unsigned i = 0; i < params.servers; ++i)
+        nodes.emplace_back(eq, st, std::to_string(i), i + 1);
 
     injector.onServerDown([&](unsigned s, Component) {
         Node &n = nodes[s];
         n.up = false;
         // Crash semantics: all held work is lost.
-        n.cpu->purge();
-        n.disk->purge();
-        n.nic->purge();
+        n.cpu.purge();
+        n.disk.purge();
+        n.nic.purge();
         n.inFlight = 0;
     });
     injector.onServerUp([&](unsigned s) { nodes[s].up = true; });
     injector.onServerThrottle([&](unsigned s, double factor) {
-        nodes[s].cpu->setCapacity(st.cpuCapacityGHz * factor);
+        nodes[s].cpu.setCapacity(st.cpuCapacityGHz * factor);
     });
 
     auto qos = workload.qos();
@@ -161,18 +149,18 @@ simulateAvailability(workloads::InteractiveWorkload &workload,
             }
         };
         auto netStage = [&, req, finish, node] {
-            if (req->netMb > 0.0)
-                node->nic->submit(req->netMb, finish);
+            if (req->work.netMb > 0.0)
+                node->nic.submit(req->work.netMb, finish);
             else
                 finish();
         };
         auto diskStage = [&, req, netStage, node] {
-            if (req->diskService > 0.0)
-                node->disk->submit(req->diskService, netStage);
+            if (req->work.diskService > 0.0)
+                node->disk.submit(req->work.diskService, netStage);
             else
                 netStage();
         };
-        node->cpu->submit(req->cpuWork, diskStage);
+        node->cpu.submit(req->work.cpuWork, diskStage);
 
         req->timeoutEv = eq.scheduleAfter(timeout, [&, req] {
             req->timeoutEv = 0;
@@ -191,18 +179,8 @@ simulateAvailability(workloads::InteractiveWorkload &workload,
         ++epochOffered;
         auto req = std::make_shared<Req>();
         req->firstIssue = now;
-        auto demand = workload.nextRequest(loadRng);
-        req->cpuWork = demand.cpuWork * st.serviceSlowdown;
-        if (demand.diskReadBytes > 0.0 &&
-            !loadRng.bernoulli(st.diskCacheHitRate))
-            req->diskService +=
-                st.diskAccessMs * 1e-3 +
-                demand.diskReadBytes / (st.diskReadMBs * 1e6);
-        if (demand.diskWriteBytes > 0.0)
-            req->diskService +=
-                st.diskAccessMs * 1e-3 * perfsim::writeAccessFactor +
-                demand.diskWriteBytes / (st.diskWriteMBs * 1e6);
-        req->netMb = demand.netBytes / 1e6;
+        req->work = perfsim::requestWork(workload.nextRequest(loadRng), st,
+                                         loadRng);
         issue(req);
         eq.scheduleAfter(loadRng.exponential(1.0 / params.offeredRps),
                          arrive);

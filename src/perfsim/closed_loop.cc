@@ -8,9 +8,11 @@
  * capturing a {driver pointer, handle} pair (plus, on the timeout
  * path, the attempt number and demand values needed to keep routing a
  * superseded attempt's stages exactly as the oracle does), and every
- * stage completes into one advance() dispatcher. Late completions of
- * abandoned requests are detected by the handle's failed generation
- * check — the pooled equivalent of the oracle's kept-alive ReqCtl.
+ * stage completes into one dispatcher: the shared advanceStage
+ * (request_pipeline.hh) on the classic path, timedAdvance on the
+ * timeout path. Late completions of abandoned requests are detected
+ * by the handle's failed generation check — the pooled equivalent of
+ * the oracle's kept-alive ReqCtl.
  *
  * The contract, enforced by tests and bench_closed_loop, is
  * bit-identity with runClosedLoopOracle (closed_loop_oracle.cc): the
@@ -24,11 +26,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
-#include "perfsim/calibration.hh"
 #include "perfsim/fast_demand.hh"
-#include "perfsim/request_arena.hh"
+#include "perfsim/request_pipeline.hh"
 #include "stats/percentile.hh"
 #include "util/logging.hh"
 
@@ -44,22 +44,15 @@ namespace {
  */
 struct Request {
     double issued = 0.0;      //!< first issue time (latency baseline)
-    double cpuWork = 0.0;
-    double diskService = 0.0;
-    double netMb = 0.0;
+    RequestWork work;
     unsigned attempts = 0;    //!< current attempt number (timed path)
     sim::EventId timeoutEv = 0;
 };
 
-/** Pipeline stage that just completed. */
-enum class Stage : unsigned { Cpu, Disk, Net };
-
 /** Shared mutable state for the client population and epoch stats. */
 struct DriverState {
     sim::EventQueue eq;
-    std::unique_ptr<sim::PsResource> cpu;
-    std::unique_ptr<sim::FifoResource> disk;
-    std::unique_ptr<sim::PsResource> nic;
+    ServerStations server;
     workloads::InteractiveWorkload *workload = nullptr;
     const StationConfig *st = nullptr;
     Rng *rng = nullptr;
@@ -87,11 +80,29 @@ struct DriverState {
     // Latency retention for the statistical-equivalence gate.
     bool collectSamples = false;
     std::vector<double> latencySamples;
+
+    explicit DriverState(const StationConfig &st) : server(eq, st) {}
+
+    /** Account one answered request. */
+    void
+    record(double latency)
+    {
+        ++epochCompleted;
+        epochLatencies.add(latency);
+        if (collectSamples)
+            latencySamples.push_back(latency);
+        // Strict QoS boundary: latency == limit violates.
+        if (latency >= qosLimit)
+            ++epochViolations;
+    }
+
+    // advanceStage hooks (classic path).
+    ServerStations &stationsOf(const Request &) { return server; }
+    void respond(RequestHandle h, const Request &r);
 };
 
 void clientLoop(DriverState &s);
 void beginRequest(DriverState &s);
-void advance(DriverState &s, RequestHandle h, Stage done);
 void issueAttempt(DriverState &s, RequestHandle h);
 void timedAdvance(DriverState &s, RequestHandle h, unsigned attempt,
                   double issued, double diskService, double netMb,
@@ -131,84 +142,28 @@ beginRequest(DriverState &s)
     // nextRequest, then the conditional cache-hit bernoulli. Fast
     // mode swaps only the demand source; think times and the
     // bernoulli still come from the main engine in the same order.
-    double issued = s.eq.now();
-    auto demand = s.fastDemands.enabled()
-                      ? s.fastDemands.draw(*s.workload)
-                      : s.workload->nextRequest(*s.rng);
-    double cpu_work = demand.cpuWork * s.st->serviceSlowdown;
-    double disk_service = 0.0;
-    if (demand.diskReadBytes > 0.0 &&
-        !s.rng->bernoulli(s.st->diskCacheHitRate)) {
-        disk_service +=
-            s.st->diskAccessMs * 1e-3 +
-            demand.diskReadBytes / (s.st->diskReadMBs * 1e6);
-    }
-    if (demand.diskWriteBytes > 0.0) {
-        disk_service +=
-            s.st->diskAccessMs * 1e-3 * writeAccessFactor +
-            demand.diskWriteBytes / (s.st->diskWriteMBs * 1e6);
-    }
-    double net_mb = demand.netBytes / 1e6;
-
     RequestHandle h = s.arena.acquire();
     Request &r = s.arena.get(h);
-    r.issued = issued;
-    r.cpuWork = cpu_work;
-    r.diskService = disk_service;
-    r.netMb = net_mb;
+    r.issued = s.eq.now();
+    r.work = requestWork(s.fastDemands.demand(*s.workload, *s.rng), *s.st,
+                         *s.rng);
 
     if (s.requestTimeout <= 0.0) {
         // Classic driver: the handle is always live when a stage
         // completes, so continuations carry only {driver, handle}.
-        s.cpu->submit(cpu_work,
-                      [sp = &s, h] { advance(*sp, h, Stage::Cpu); });
+        startStages(s, h);
         return;
     }
     issueAttempt(s, h);
 }
 
-/**
- * Classic-path dispatcher: a completed stage either submits the next
- * resource or, with zero demand, falls through to the next stage
- * synchronously — the same chaining the oracle's disk_stage/net_stage
- * closures perform.
- */
+/** Classic path: account, release the slot, go back to thinking. */
 void
-advance(DriverState &s, RequestHandle h, Stage done)
+DriverState::respond(RequestHandle h, const Request &r)
 {
-    Request &r = s.arena.get(h);
-    switch (done) {
-      case Stage::Cpu:
-        if (r.diskService > 0.0) {
-            s.disk->submit(r.diskService, [sp = &s, h] {
-                advance(*sp, h, Stage::Disk);
-            });
-            return;
-        }
-        [[fallthrough]];
-      case Stage::Disk:
-        if (r.netMb > 0.0) {
-            s.nic->submit(r.netMb, [sp = &s, h] {
-                advance(*sp, h, Stage::Net);
-            });
-            return;
-        }
-        [[fallthrough]];
-      case Stage::Net: {
-        // Respond: account, release the slot, go back to thinking.
-        double latency = s.eq.now() - r.issued;
-        ++s.epochCompleted;
-        s.epochLatencies.add(latency);
-        if (s.collectSamples)
-            s.latencySamples.push_back(latency);
-        // Strict QoS boundary: latency == limit violates.
-        if (latency >= s.qosLimit)
-            ++s.epochViolations;
-        s.arena.release(h);
-        clientLoop(s);
-        break;
-      }
-    }
+    record(eq.now() - r.issued);
+    arena.release(h);
+    clientLoop(*this);
 }
 
 /** (Re)issue the request's work and arm the abandonment timer. */
@@ -223,13 +178,13 @@ issueAttempt(DriverState &s, RequestHandle h)
     // oracle's closures do, even after the slot is released (or
     // re-let to another request).
     double issued = r.issued;
-    double diskService = r.diskService;
-    double netMb = r.netMb;
-    s.cpu->submit(r.cpuWork,
-                  [sp = &s, h, attempt, issued, diskService, netMb] {
-                      timedAdvance(*sp, h, attempt, issued,
-                                   diskService, netMb, Stage::Cpu);
-                  });
+    double diskService = r.work.diskService;
+    double netMb = r.work.netMb;
+    s.server.cpu.submit(r.work.cpuWork,
+                        [sp = &s, h, attempt, issued, diskService, netMb] {
+                            timedAdvance(*sp, h, attempt, issued,
+                                         diskService, netMb, Stage::Cpu);
+                        });
     r.timeoutEv = s.eq.scheduleAfter(
         s.requestTimeout, [sp = &s, h] { onTimeout(*sp, h); });
 }
@@ -248,17 +203,17 @@ timedAdvance(DriverState &s, RequestHandle h, unsigned attempt,
     switch (done) {
       case Stage::Cpu:
         if (diskService > 0.0) {
-            s.disk->submit(diskService,
-                           [sp = &s, h, attempt, issued, netMb] {
-                               timedAdvance(*sp, h, attempt, issued,
-                                            0.0, netMb, Stage::Disk);
-                           });
+            s.server.disk.submit(diskService,
+                                 [sp = &s, h, attempt, issued, netMb] {
+                                     timedAdvance(*sp, h, attempt, issued,
+                                                  0.0, netMb, Stage::Disk);
+                                 });
             return;
         }
         [[fallthrough]];
       case Stage::Disk:
         if (netMb > 0.0) {
-            s.nic->submit(netMb, [sp = &s, h, attempt, issued] {
+            s.server.nic.submit(netMb, [sp = &s, h, attempt, issued] {
                 timedAdvance(*sp, h, attempt, issued, 0.0, 0.0,
                              Stage::Net);
             });
@@ -279,13 +234,7 @@ timedAdvance(DriverState &s, RequestHandle h, unsigned attempt,
             s.eq.cancel(r->timeoutEv);
             r->timeoutEv = 0;
         }
-        double latency = s.eq.now() - issued;
-        ++s.epochCompleted;
-        s.epochLatencies.add(latency);
-        if (s.collectSamples)
-            s.latencySamples.push_back(latency);
-        if (latency >= s.qosLimit)
-            ++s.epochViolations;
+        s.record(s.eq.now() - issued);
         s.arena.release(h);
         clientLoop(s);
         break;
@@ -335,12 +284,7 @@ runClosedLoop(workloads::InteractiveWorkload &workload,
     WSC_ASSERT(params.shrinkFactor > 0.0 && params.shrinkFactor < 1.0,
                "shrink factor must be in (0, 1)");
 
-    DriverState s;
-    s.cpu = std::make_unique<sim::PsResource>(
-        s.eq, "cpu", stations.cpuCapacityGHz, stations.cpuSlots);
-    s.disk = std::make_unique<sim::FifoResource>(s.eq, "disk", 1);
-    s.nic = std::make_unique<sim::PsResource>(s.eq, "nic",
-                                              stations.nicMBs, 1);
+    DriverState s(stations);
     s.workload = &workload;
     s.st = &stations;
     s.rng = &rng;

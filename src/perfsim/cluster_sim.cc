@@ -2,11 +2,11 @@
 
 #include <algorithm>
 
-#include "perfsim/calibration.hh"
 #include "perfsim/fast_demand.hh"
-#include "perfsim/request_arena.hh"
+#include "perfsim/request_pipeline.hh"
 #include "perfsim/throughput.hh"
 #include "stats/percentile.hh"
+#include "stats/summary.hh"
 #include "util/hash.hh"
 #include "util/logging.hh"
 
@@ -39,28 +39,16 @@ ClusterSimResult::passes(const workloads::QosSpec &qos) const
 
 namespace {
 
-/** One server's stations plus dispatch bookkeeping. */
-struct ServerNode {
-    std::unique_ptr<sim::PsResource> cpu;
-    std::unique_ptr<sim::FifoResource> disk;
-    std::unique_ptr<sim::PsResource> nic;
-    std::size_t inFlight = 0;
-};
-
 /**
- * Pooled per-request state: as in closed_loop.cc / server_sim.cc, the
- * slot carries the demand and the dispatch target so continuations
- * capture only {simulation pointer, handle}.
+ * Pooled per-request state: the slot carries the work and the dispatch
+ * target, so continuations capture only {engine pointer, handle}.
  */
 struct ClusterRequest {
     double arrival = 0.0;
-    double diskService = 0.0;
-    double netMb = 0.0;
+    RequestWork work;
     std::uint32_t nodeIdx = 0;
     bool measured = false;
 };
-
-enum class Stage : unsigned { Cpu, Disk, Net };
 
 /** All run state the continuations need, behind one pointer. */
 struct ClusterSim {
@@ -74,14 +62,15 @@ struct ClusterSim {
     double horizon;
 
     sim::EventQueue eq;
-    std::vector<ServerNode> nodes;
+    std::vector<std::unique_ptr<ServerStations>> nodes;
+    std::vector<std::size_t> nodeInFlight; //!< dispatch bookkeeping
     stats::PercentileTracker latencies;
+    stats::Summary latencySummary;
     workloads::QosSpec qos;
     RequestArena<ClusterRequest> arena;
-    ClusterSimResult result;
-    std::uint64_t offered = 0;
+    SimResult result;
     std::uint64_t violations = 0;
-    std::size_t totalInFlight = 0;
+    std::size_t inFlight = 0;
     bool aborted = false;
     unsigned rrNext = 0;
     FastDemandSource fastDemands;
@@ -93,17 +82,12 @@ struct ClusterSim {
         : workload(workload), st(st), window(window), rng(rng),
           servers(servers), policy(policy), rps(rps),
           horizon(window.warmupSeconds + window.measureSeconds),
-          nodes(servers), qos(workload.qos())
+          nodeInFlight(servers), qos(workload.qos())
     {
-        for (unsigned i = 0; i < servers; ++i) {
-            auto tag = std::to_string(i);
-            nodes[i].cpu = std::make_unique<sim::PsResource>(
-                eq, "cpu" + tag, st.cpuCapacityGHz, st.cpuSlots);
-            nodes[i].disk = std::make_unique<sim::FifoResource>(
-                eq, "disk" + tag, 1);
-            nodes[i].nic = std::make_unique<sim::PsResource>(
-                eq, "nic" + tag, st.nicMBs, 1);
-        }
+        // A lone server's stations are plain cpu/disk/nic.
+        for (unsigned i = 0; i < servers; ++i)
+            nodes.push_back(std::make_unique<ServerStations>(
+                eq, st, servers == 1 ? "" : std::to_string(i)));
         fastDemands.configure(window.fastMode, rng);
     }
 
@@ -120,15 +104,15 @@ struct ClusterSim {
             return std::uint32_t(rng.uniformInt(0, servers - 1));
           case DispatchPolicy::LeastOutstanding: {
             std::size_t best = 0;
-            for (std::size_t i = 1; i < nodes.size(); ++i)
-                if (nodes[i].inFlight < nodes[best].inFlight)
+            for (std::size_t i = 1; i < nodeInFlight.size(); ++i)
+                if (nodeInFlight[i] < nodeInFlight[best])
                     best = i;
             return std::uint32_t(best);
           }
           case DispatchPolicy::TwoChoices: {
             auto a = std::uint32_t(rng.uniformInt(0, servers - 1));
             auto b = std::uint32_t(rng.uniformInt(0, servers - 1));
-            if (nodes[b].inFlight < nodes[a].inFlight)
+            if (nodeInFlight[b] < nodeInFlight[a])
                 return b;
             // Ties (including a == b) keep the first draw.
             return a;
@@ -136,93 +120,59 @@ struct ClusterSim {
         }
         panic("unknown dispatch policy");
     }
+
+    // advanceStage hooks.
+    ServerStations &
+    stationsOf(const ClusterRequest &r)
+    {
+        return *nodes[r.nodeIdx];
+    }
+
+    void
+    respond(RequestHandle h, const ClusterRequest &r)
+    {
+        --nodeInFlight[r.nodeIdx];
+        --inFlight;
+        double latency = eq.now() - r.arrival;
+        if (r.measured) {
+            latencies.add(latency);
+            latencySummary.add(latency);
+            ++result.completed;
+            // Strict QoS: the paper requires latency < limit, so
+            // exactly-at-the-limit responses are violations.
+            if (latency >= qos.latencyLimit)
+                ++violations;
+        }
+        arena.release(h);
+    }
 };
 
-void clusterAdvance(ClusterSim &s, RequestHandle h, Stage done);
-
+/** Dispatch one arrival and send it into its server's stations. */
 void
 clusterLaunch(ClusterSim &s, double arrival, bool measured)
 {
     std::uint32_t nodeIdx = s.pick();
-    ServerNode &node = s.nodes[nodeIdx];
-    ++node.inFlight;
-    ++s.totalInFlight;
-    auto demand = s.fastDemands.enabled()
-                      ? s.fastDemands.draw(s.workload)
-                      : s.workload.nextRequest(s.rng);
-    double cpu_work = demand.cpuWork * s.st.serviceSlowdown;
-    double disk_service = 0.0;
-    if (demand.diskReadBytes > 0.0 &&
-        !s.rng.bernoulli(s.st.diskCacheHitRate)) {
-        disk_service += s.st.diskAccessMs * 1e-3 +
-                        demand.diskReadBytes /
-                            (s.st.diskReadMBs * 1e6);
-    }
-    if (demand.diskWriteBytes > 0.0) {
-        disk_service +=
-            s.st.diskAccessMs * 1e-3 * writeAccessFactor +
-            demand.diskWriteBytes / (s.st.diskWriteMBs * 1e6);
-    }
-    double net_mb = demand.netBytes / 1e6;
+    ++s.nodeInFlight[nodeIdx];
+    ++s.inFlight;
+    s.result.peakInFlight = std::max(s.result.peakInFlight, s.inFlight);
 
     RequestHandle h = s.arena.acquire();
     ClusterRequest &r = s.arena.get(h);
     r.arrival = arrival;
-    r.diskService = disk_service;
-    r.netMb = net_mb;
+    r.work = requestWork(s.fastDemands.demand(s.workload, s.rng), s.st,
+                         s.rng);
     r.nodeIdx = nodeIdx;
     r.measured = measured;
-
-    node.cpu->submit(cpu_work, [sp = &s, h] {
-        clusterAdvance(*sp, h, Stage::Cpu);
-    });
+    startStages(s, h);
 }
 
-void
-clusterAdvance(ClusterSim &s, RequestHandle h, Stage done)
-{
-    ClusterRequest &r = s.arena.get(h);
-    ServerNode &node = s.nodes[r.nodeIdx];
-    switch (done) {
-      case Stage::Cpu:
-        if (r.diskService > 0.0) {
-            node.disk->submit(r.diskService, [sp = &s, h] {
-                clusterAdvance(*sp, h, Stage::Disk);
-            });
-            return;
-        }
-        [[fallthrough]];
-      case Stage::Disk:
-        if (r.netMb > 0.0) {
-            node.nic->submit(r.netMb, [sp = &s, h] {
-                clusterAdvance(*sp, h, Stage::Net);
-            });
-            return;
-        }
-        [[fallthrough]];
-      case Stage::Net: {
-        --node.inFlight;
-        --s.totalInFlight;
-        double latency = s.eq.now() - r.arrival;
-        if (r.measured) {
-            s.latencies.add(latency);
-            ++s.result.completed;
-            // Strict QoS boundary: latency == limit violates.
-            if (latency >= s.qos.latencyLimit)
-                ++s.violations;
-        }
-        s.arena.release(h);
-        break;
-      }
-    }
-}
-
+/** Poisson arrival process. */
 void
 clusterArrive(ClusterSim &s)
 {
     if (s.aborted)
         return;
-    if (s.totalInFlight > s.window.maxInFlight * s.servers) {
+    if (s.inFlight > s.window.maxInFlight * s.servers) {
         s.aborted = true;
         return;
     }
@@ -230,7 +180,7 @@ clusterArrive(ClusterSim &s)
     if (now < s.horizon) {
         bool measured = now >= s.window.warmupSeconds;
         if (measured)
-            ++s.offered;
+            ++s.result.offered;
         clusterLaunch(s, now, measured);
         s.eq.scheduleAfter(s.rng.exponential(1.0 / s.rps),
                            [sp = &s] { clusterArrive(*sp); });
@@ -239,45 +189,89 @@ clusterArrive(ClusterSim &s)
 
 } // namespace
 
+namespace detail {
+
+SimResult
+simulateOpenLoop(workloads::InteractiveWorkload &workload,
+                 const StationConfig &st, unsigned servers,
+                 DispatchPolicy policy, double rps,
+                 const SimWindow &window, Rng &rng)
+{
+    WSC_ASSERT(servers >= 1, "empty cluster");
+    WSC_ASSERT(rps > 0.0, "offered load must be positive");
+    WSC_ASSERT(window.measureSeconds > 0.0,
+               "measurement window must be positive");
+    WSC_ASSERT(window.warmupSeconds >= 0.0,
+               "warmup window must be non-negative");
+    WSC_ASSERT(window.maxInFlight >= 1, "in-flight cap must be >= 1");
+
+    ClusterSim s(workload, st, servers, policy, rps, window, rng);
+    if (window.tracer)
+        s.eq.setTracer(window.tracer);
+    s.result.offeredRps = rps;
+
+    s.eq.scheduleAfter(rng.exponential(1.0 / rps),
+                       [sp = &s] { clusterArrive(*sp); });
+
+    // Run to the horizon, then drain a grace period so in-flight
+    // requests can complete (or reveal saturation).
+    s.eq.run(s.horizon);
+    double grace = s.horizon + std::max(30.0, 5.0 * s.qos.latencyLimit);
+    while (!s.eq.empty() && s.eq.now() < grace && !s.aborted)
+        s.eq.step();
+
+    SimResult result = std::move(s.result);
+    result.saturated = s.aborted || s.inFlight > 0;
+    if (s.latencies.count() > 0) {
+        result.p50Latency = s.latencies.quantile(0.50);
+        result.p95Latency = s.latencies.quantile(0.95);
+        result.p99Latency = s.latencies.quantile(0.99);
+        result.meanLatency = s.latencySummary.mean();
+    }
+    result.qosViolationFraction =
+        result.offered ? double(s.violations) / double(result.offered)
+                       : 0.0;
+    double cpu = 0.0, disk = 0.0, nic = 0.0;
+    for (const auto &n : s.nodes) {
+        const ServerStations &at = *n;
+        cpu += at.cpu.utilization();
+        disk += at.disk.utilization();
+        nic += at.nic.utilization();
+        result.stations.push_back(at.cpu.stats());
+        result.stations.push_back(at.disk.stats());
+        result.stations.push_back(at.nic.stats());
+    }
+    result.cpuUtilization = cpu / double(servers);
+    result.diskUtilization = disk / double(servers);
+    result.nicUtilization = nic / double(servers);
+    result.kernel = s.eq.counters();
+    return result;
+}
+
+} // namespace detail
+
 ClusterSimResult
 simulateCluster(workloads::InteractiveWorkload &workload,
                 const StationConfig &st, unsigned servers,
                 DispatchPolicy policy, double rps,
                 const SimWindow &window, Rng &rng)
 {
-    WSC_ASSERT(servers >= 1, "empty cluster");
-    WSC_ASSERT(rps > 0.0, "offered load must be positive");
-
-    ClusterSim s(workload, st, servers, policy, rps, window, rng);
-    s.result.offeredRps = rps;
-
-    s.eq.scheduleAfter(rng.exponential(1.0 / rps),
-                       [sp = &s] { clusterArrive(*sp); });
-
-    s.eq.run(s.horizon);
-    double grace = s.horizon + std::max(30.0, 5.0 * s.qos.latencyLimit);
-    while (!s.eq.empty() && s.eq.now() < grace && !s.aborted)
-        s.eq.step();
-
-    ClusterSimResult result = s.result;
-    result.saturated =
-        s.aborted || s.totalInFlight > 0 ||
-        (s.offered > 0 &&
-         double(result.completed) < 0.97 * double(s.offered));
-    if (s.latencies.count() > 0)
-        result.p95Latency = s.latencies.quantile(0.95);
-    result.qosViolationFraction =
-        s.offered ? double(s.violations) / double(s.offered) : 0.0;
-
-    double util_sum = 0.0, util_max = 0.0;
-    for (auto &n : s.nodes) {
-        double u = n.cpu->utilization();
-        util_sum += u;
-        util_max = std::max(util_max, u);
-    }
-    result.meanCpuUtilization = util_sum / double(servers);
-    result.maxCpuUtilization = util_max;
-    return result;
+    SimResult r = detail::simulateOpenLoop(workload, st, servers, policy,
+                                           rps, window, rng);
+    ClusterSimResult out;
+    out.offeredRps = r.offeredRps;
+    out.completed = r.completed;
+    out.p95Latency = r.p95Latency;
+    out.qosViolationFraction = r.qosViolationFraction;
+    // Folds in the stability rule SimResult::passes applies.
+    out.saturated = r.saturated ||
+                    (r.offered > 0 &&
+                     double(r.completed) < 0.97 * double(r.offered));
+    out.meanCpuUtilization = r.cpuUtilization;
+    for (std::size_t i = 0; i < r.stations.size(); i += 3)
+        out.maxCpuUtilization =
+            std::max(out.maxCpuUtilization, r.stations[i].utilization);
+    return out;
 }
 
 ClusterScalingResult

@@ -57,12 +57,32 @@ struct ClusterSimResult {
     double p95Latency = 0.0;
     double qosViolationFraction = 0.0;
     bool saturated = false;
-    /** Peak imbalance: max over servers of in-flight, at the end. */
     double meanCpuUtilization = 0.0;
     double maxCpuUtilization = 0.0;
 
     bool passes(const workloads::QosSpec &qos) const;
 };
+
+namespace detail {
+
+/**
+ * The open-loop engine: @p servers identical servers behind @p policy,
+ * driven by one Poisson stream at @p rps. simulateInteractive is its
+ * one-server round-robin run and simulateCluster maps its result, so
+ * the aggregation check compares a cluster against the very engine
+ * that measured the single server. The result's utilizations are
+ * means over servers, and `stations` lists every server's cpu, disk
+ * and nic in server order (suffixed with the server index when there
+ * is more than one). Panics on an empty cluster, a non-positive rate
+ * or a malformed window.
+ */
+SimResult simulateOpenLoop(workloads::InteractiveWorkload &workload,
+                           const StationConfig &stations,
+                           unsigned servers, DispatchPolicy policy,
+                           double rps, const SimWindow &window,
+                           Rng &rng);
+
+} // namespace detail
 
 /**
  * Simulate @p servers identical servers under @p policy at cluster

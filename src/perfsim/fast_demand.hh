@@ -2,9 +2,10 @@
  * @file
  * Block-refilled service-demand source for fast mode.
  *
- * All three request engines (closed_loop, server_sim, cluster_sim)
- * draw one ServiceDemand per request from the run's Rng. In fast mode
- * demands instead come from this source: a workloads::BatchStream of
+ * Both request engines with a fast mode (the closed-loop driver and
+ * the open-loop engine behind simulateInteractive and simulateCluster)
+ * draw one ServiceDemand per request through demand(): from the run's
+ * Rng in exact mode, and in fast mode from a workloads::BatchStream of
  * dedicated child streams (derived via Rng::stream from the run seed,
  * so the seed still fully determines every draw) consumed a block at
  * a time through InteractiveWorkload::nextRequestBatch, which lets
@@ -54,6 +55,15 @@ class FastDemandSource
 
     bool enabled() const { return on; }
 
+    /** The next request's demand: pre-drawn in fast mode, else drawn
+     * from @p rng, leaving exact mode's draw order unchanged. */
+    workloads::ServiceDemand
+    demand(workloads::InteractiveWorkload &workload, Rng &rng)
+    {
+        return on ? draw(workload) : workload.nextRequest(rng);
+    }
+
+  private:
     /** Next pre-drawn demand; refills a whole block when empty. */
     const workloads::ServiceDemand &
     draw(workloads::InteractiveWorkload &workload)
@@ -65,7 +75,6 @@ class FastDemandSource
         return buf[next++];
     }
 
-  private:
     bool on = false;
     workloads::BatchStream stream{Rng(0)};
     std::vector<workloads::ServiceDemand> buf;

@@ -3,9 +3,7 @@
 #include <algorithm>
 
 #include "perfsim/calibration.hh"
-#include "perfsim/fast_demand.hh"
-#include "perfsim/request_arena.hh"
-#include "util/logging.hh"
+#include "perfsim/cluster_sim.hh"
 
 namespace wsc {
 namespace perfsim {
@@ -51,205 +49,14 @@ SimResult::passes(const workloads::QosSpec &qos) const
     return qosViolationFraction <= (1.0 - qos.quantile);
 }
 
-namespace {
-
-/**
- * Pooled per-request state for the open-loop simulator. As in
- * closed_loop.cc, the nested finish/net_stage/disk_stage closure chain
- * (which heap-allocated several frames per request once the copies
- * nested past InlineAction's inline storage) is replaced by one arena
- * slot per in-flight request plus a staged advance() dispatcher whose
- * continuations capture only {simulation pointer, handle}.
- */
-struct OpenRequest {
-    double arrival = 0.0;
-    double diskService = 0.0;
-    double netMb = 0.0;
-    bool measured = false;
-};
-
-enum class Stage : unsigned { Cpu, Disk, Net };
-
-/** All run state the continuations need, gathered behind one pointer. */
-struct OpenLoopSim {
-    workloads::InteractiveWorkload &workload;
-    const StationConfig &st;
-    const SimWindow &window;
-    Rng &rng;
-    double rps;
-    double horizon;
-
-    sim::EventQueue eq;
-    sim::PsResource cpu;
-    sim::FifoResource disk;
-    sim::PsResource nic;
-
-    stats::PercentileTracker latencies;
-    stats::Summary latencySummary;
-    workloads::QosSpec qos;
-
-    RequestArena<OpenRequest> arena;
-    SimResult result;
-    std::size_t inFlight = 0;
-    bool aborted = false;
-    std::uint64_t qosViolations = 0;
-    FastDemandSource fastDemands;
-
-    OpenLoopSim(workloads::InteractiveWorkload &workload,
-                const StationConfig &st, const SimWindow &window,
-                Rng &rng, double rps)
-        : workload(workload), st(st), window(window), rng(rng),
-          rps(rps),
-          horizon(window.warmupSeconds + window.measureSeconds),
-          cpu(eq, "cpu", st.cpuCapacityGHz, st.cpuSlots),
-          disk(eq, "disk", 1), nic(eq, "nic", st.nicMBs, 1),
-          qos(workload.qos())
-    {
-        fastDemands.configure(window.fastMode, rng);
-    }
-};
-
-void openAdvance(OpenLoopSim &s, RequestHandle h, Stage done);
-
-/** One request's journey through the stations. */
-void
-openLaunch(OpenLoopSim &s, double arrival, bool measured)
-{
-    ++s.inFlight;
-    if (s.inFlight > s.result.peakInFlight)
-        s.result.peakInFlight = s.inFlight;
-    auto demand = s.fastDemands.enabled()
-                      ? s.fastDemands.draw(s.workload)
-                      : s.workload.nextRequest(s.rng);
-    double cpu_work = demand.cpuWork * s.st.serviceSlowdown;
-
-    // Disk stage work, resolved now so the continuations stay simple.
-    double disk_service = 0.0;
-    if (demand.diskReadBytes > 0.0 &&
-        !s.rng.bernoulli(s.st.diskCacheHitRate)) {
-        disk_service += s.st.diskAccessMs * 1e-3 +
-                        demand.diskReadBytes / (s.st.diskReadMBs * 1e6);
-    }
-    if (demand.diskWriteBytes > 0.0) {
-        disk_service +=
-            s.st.diskAccessMs * 1e-3 * writeAccessFactor +
-            demand.diskWriteBytes / (s.st.diskWriteMBs * 1e6);
-    }
-    double net_mb = demand.netBytes / 1e6;
-
-    RequestHandle h = s.arena.acquire();
-    OpenRequest &r = s.arena.get(h);
-    r.arrival = arrival;
-    r.diskService = disk_service;
-    r.netMb = net_mb;
-    r.measured = measured;
-
-    s.cpu.submit(cpu_work,
-                 [sp = &s, h] { openAdvance(*sp, h, Stage::Cpu); });
-}
-
-/** Staged dispatcher; zero-demand stages fall through synchronously. */
-void
-openAdvance(OpenLoopSim &s, RequestHandle h, Stage done)
-{
-    OpenRequest &r = s.arena.get(h);
-    switch (done) {
-      case Stage::Cpu:
-        if (r.diskService > 0.0) {
-            s.disk.submit(r.diskService, [sp = &s, h] {
-                openAdvance(*sp, h, Stage::Disk);
-            });
-            return;
-        }
-        [[fallthrough]];
-      case Stage::Disk:
-        if (r.netMb > 0.0) {
-            s.nic.submit(r.netMb, [sp = &s, h] {
-                openAdvance(*sp, h, Stage::Net);
-            });
-            return;
-        }
-        [[fallthrough]];
-      case Stage::Net: {
-        --s.inFlight;
-        double latency = s.eq.now() - r.arrival;
-        if (r.measured) {
-            s.latencies.add(latency);
-            s.latencySummary.add(latency);
-            ++s.result.completed;
-            // Strict QoS: the paper requires latency < limit, so
-            // exactly-at-the-limit responses are violations.
-            if (latency >= s.qos.latencyLimit)
-                ++s.qosViolations;
-        }
-        s.arena.release(h);
-        break;
-      }
-    }
-}
-
-/** Poisson arrival process. */
-void
-openArrive(OpenLoopSim &s)
-{
-    if (s.aborted)
-        return;
-    if (s.inFlight > s.window.maxInFlight) {
-        s.aborted = true;
-        return;
-    }
-    double now = s.eq.now();
-    if (now < s.horizon) {
-        bool measured = now >= s.window.warmupSeconds;
-        if (measured)
-            ++s.result.offered;
-        openLaunch(s, now, measured);
-        s.eq.scheduleAfter(s.rng.exponential(1.0 / s.rps),
-                           [sp = &s] { openArrive(*sp); });
-    }
-}
-
-} // namespace
-
 SimResult
 simulateInteractive(workloads::InteractiveWorkload &workload,
                     const StationConfig &st, double rps,
                     const SimWindow &window, Rng &rng)
 {
-    WSC_ASSERT(rps > 0.0, "offered load must be positive");
-
-    OpenLoopSim s(workload, st, window, rng, rps);
-    if (window.tracer)
-        s.eq.setTracer(window.tracer);
-    s.result.offeredRps = rps;
-
-    s.eq.scheduleAfter(rng.exponential(1.0 / rps),
-                       [sp = &s] { openArrive(*sp); });
-
-    // Run to the horizon, then drain a grace period so in-flight
-    // requests can complete (or reveal saturation).
-    s.eq.run(s.horizon);
-    double grace = s.horizon + std::max(30.0, 5.0 * s.qos.latencyLimit);
-    while (!s.eq.empty() && s.eq.now() < grace && !s.aborted)
-        s.eq.step();
-
-    SimResult result = std::move(s.result);
-    result.saturated = s.aborted || s.inFlight > 0;
-    if (s.latencies.count() > 0) {
-        result.p50Latency = s.latencies.quantile(0.50);
-        result.p95Latency = s.latencies.quantile(0.95);
-        result.p99Latency = s.latencies.quantile(0.99);
-        result.meanLatency = s.latencySummary.mean();
-    }
-    result.qosViolationFraction =
-        result.offered ? double(s.qosViolations) / double(result.offered)
-                       : 0.0;
-    result.cpuUtilization = s.cpu.utilization();
-    result.diskUtilization = s.disk.utilization();
-    result.nicUtilization = s.nic.utilization();
-    result.stations = {s.cpu.stats(), s.disk.stats(), s.nic.stats()};
-    result.kernel = s.eq.counters();
-    return result;
+    return detail::simulateOpenLoop(workload, st, 1,
+                                    DispatchPolicy::RoundRobin, rps,
+                                    window, rng);
 }
 
 } // namespace perfsim

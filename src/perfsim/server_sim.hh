@@ -88,11 +88,13 @@ struct SimResult {
     bool passes(const workloads::QosSpec &qos) const;
 };
 
-/** Measurement window parameters. */
+/** Measurement window parameters; each run panics unless
+ * warmupSeconds >= 0, measureSeconds > 0 and maxInFlight >= 1. */
 struct SimWindow {
     double warmupSeconds = 10.0;
     double measureSeconds = 40.0;
-    /** Abort threshold: in-flight requests signalling saturation. */
+    /** Abort threshold: in-flight requests (per server) signalling
+     * saturation. */
     std::size_t maxInFlight = 2000;
     /**
      * Optional kernel trace sink installed on each run's event queue
@@ -103,19 +105,21 @@ struct SimWindow {
     sim::EventQueue::Tracer tracer;
     /**
      * Versioned fast mode (sim/fast_mode.hh). Off by default, leaving
-     * every run bit-identical to the seed behaviour. When enabled,
-     * simulateInteractive and simulateCluster source demands from a
-     * dedicated batched stream; results are statistically equivalent
-     * (gated by stats/equivalence.hh) but not bit-identical. Rides
-     * inside SearchParams, so it reaches the throughput search and
-     * the wsc_eval sweeps without further plumbing.
+     * every run bit-identical to the seed behaviour. When enabled, the
+     * open-loop engine (simulateInteractive and simulateCluster)
+     * sources demands from a dedicated batched stream; results are
+     * statistically equivalent (gated by stats/equivalence.hh) but
+     * not bit-identical. Rides inside SearchParams, so it reaches the
+     * throughput search and the wsc_eval sweeps without further
+     * plumbing.
      */
     sim::FastModeConfig fastMode;
 };
 
 /**
  * Run one open-loop (Poisson arrivals) simulation of an interactive
- * workload at @p rps on the given stations.
+ * workload at @p rps on the given stations: the one-server,
+ * round-robin run of the cluster engine (cluster_sim.hh).
  */
 SimResult simulateInteractive(workloads::InteractiveWorkload &workload,
                               const StationConfig &stations,

@@ -305,6 +305,35 @@ TEST(ClusterSim, InvalidArgsPanic)
                  PanicError);
 }
 
+// The open-loop engine checks its window before simulating: a zero or
+// negative measurement window used to run and leave a zero metric
+// denominator for the caller to trip over.
+TEST(ClusterSim, InvalidWindowPanics)
+{
+    workloads::Ytube yt;
+    auto st = stations();
+    for (int bad = 0; bad < 4; ++bad) {
+        SimWindow w = fastWindow();
+        if (bad == 0)
+            w.measureSeconds = 0.0;
+        else if (bad == 1)
+            w.measureSeconds = -5.0;
+        else if (bad == 2)
+            w.warmupSeconds = -20.0;
+        else
+            w.maxInFlight = 0;
+        Rng rng(51);
+        EXPECT_THROW(simulateCluster(yt, st, 2,
+                                     DispatchPolicy::RoundRobin, 10.0,
+                                     w, rng),
+                     PanicError)
+            << "case " << bad;
+        EXPECT_THROW(simulateInteractive(yt, st, 10.0, w, rng),
+                     PanicError)
+            << "case " << bad;
+    }
+}
+
 TEST(ClusterSim, ScalingSearchRejectsEmptyClusterEarly)
 {
     // Regression: the servers == 0 config default used to survive all

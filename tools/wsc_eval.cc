@@ -221,8 +221,14 @@ main(int argc, char **argv)
         EvaluatorParams params;
         params.burden.tariffPerMWh = args.getDouble("tariff");
         params.burden.activityFactor = args.getDouble("activity");
-        params.search.window.warmupSeconds = args.getDouble("warmup");
-        params.search.window.measureSeconds = args.getDouble("measure");
+        double warmup = args.getDouble("warmup");
+        if (!(warmup >= 0))
+            fatal("--warmup must be >= 0");
+        double measure = args.getDouble("measure");
+        if (!(measure > 0))
+            fatal("--measure must be > 0");
+        params.search.window.warmupSeconds = warmup;
+        params.search.window.measureSeconds = measure;
         double iters = args.getDouble("search-iters");
         if (iters < 1 || iters > 64)
             fatal("--search-iters must be in [1, 64]");
