@@ -53,8 +53,6 @@ class FastDemandSource
         next = buf.size(); // force a refill on the first draw
     }
 
-    bool enabled() const { return on; }
-
     /** The next request's demand: pre-drawn in fast mode, else drawn
      * from @p rng, leaving exact mode's draw order unchanged. */
     workloads::ServiceDemand
