@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <memory>
 
 #include "perfsim/request_pipeline.hh"
 #include "util/hash.hh"
@@ -25,11 +24,274 @@ struct Node : perfsim::ServerStations {
 struct Req {
     double firstIssue = 0.0;
     unsigned attempts = 0;
-    bool resolved = false; //!< completed or given up
+    bool resolved = false;     //!< completed or given up
+    bool retryPending = false; //!< a backoff timer will reissue it
     sim::EventId timeoutEv = 0;
     // Work drawn once at first issue; retries resend the same work
     // (no extra RNG draws, so fault timing never perturbs the stream).
     perfsim::RequestWork work;
+};
+
+/**
+ * One availability run. Requests live in a RequestArena. Events
+ * capture the sim pointer, request events add the handle, and station
+ * completions add the attempt stamp, the serving node and the
+ * downstream work, so every capture fits sim::InlineAction's inline
+ * storage.
+ *
+ * A slot is released once its request is resolved and no retry timer
+ * is pending, the last point at which anything still reads it. A
+ * superseded attempt carries its own disk and NIC work, so it keeps
+ * loading its node after the release. Its answer meets a stale handle
+ * or an attempt mismatch and counts as a late completion; a pending
+ * timeout of a resolved request meets a stale handle and does nothing.
+ */
+struct AvailSim {
+    workloads::InteractiveWorkload &workload;
+    const perfsim::StationConfig &st;
+    const AvailabilityParams &params;
+    workloads::QosSpec qos;
+    double timeout;
+    double horizon;
+    AvailabilityResult &result;
+    Rng loadRng;
+    /** The calendar backend dispatches the heap's (time, seq) order;
+     * it is hard-wired because the client timers that outlive their
+     * requests keep thousands of stale entries queued. */
+    sim::EventQueue eq{sim::QueueKind::Calendar};
+    std::deque<Node> nodes;
+    perfsim::RequestArena<Req> arena;
+
+    // Per-epoch QoS accounting.
+    std::uint64_t epochOffered = 0, epochResolved = 0, epochBad = 0;
+    std::uint64_t okRunEpochs = 0;
+    bool inViolation = false;
+    double okTimeSum = 0.0;
+    std::uint64_t violationEpisodes = 0;
+
+    AvailSim(workloads::InteractiveWorkload &workload,
+             const perfsim::StationConfig &st,
+             const AvailabilityParams &params, double horizon,
+             AvailabilityResult &result)
+        : workload(workload), st(st), params(params),
+          qos(workload.qos()),
+          timeout(qos.latencyLimit * params.timeoutFactor),
+          horizon(horizon), result(result),
+          loadRng(seedFor(params.seed, "avail-load"))
+    {
+        // Owner-tag each server's events with its (1-based) id so a
+        // crash can retire them in bulk; client timers stay untagged
+        // and survive the crash to drive retries.
+        for (unsigned i = 0; i < params.servers; ++i)
+            nodes.emplace_back(eq, st, std::to_string(i), i + 1);
+    }
+
+    /** Least-outstanding surviving server; ties keep the lowest
+     * index, so routing is deterministic. */
+    Node *
+    pick()
+    {
+        Node *best = nullptr;
+        for (Node &n : nodes) {
+            if (!n.up)
+                continue;
+            if (!best || n.inFlight < best->inFlight)
+                best = &n;
+        }
+        return best;
+    }
+
+    void
+    releaseIfDone(perfsim::RequestHandle h)
+    {
+        Req &r = arena.get(h);
+        if (r.resolved && !r.retryPending)
+            arena.release(h);
+    }
+
+    void
+    arrive()
+    {
+        double now = eq.now();
+        if (now >= horizon)
+            return;
+        ++result.offered;
+        ++epochOffered;
+        perfsim::RequestHandle h = arena.acquire();
+        Req &r = arena.get(h);
+        r.firstIssue = now;
+        r.work = perfsim::requestWork(workload.nextRequest(loadRng), st,
+                                      loadRng);
+        issue(h);
+        releaseIfDone(h);
+        scheduleArrival();
+    }
+
+    void
+    scheduleArrival()
+    {
+        eq.scheduleAfter(loadRng.exponential(1.0 / params.offeredRps),
+                         [sp = this] { sp->arrive(); });
+    }
+
+    /** Send one attempt; timeout and retry feed back into it. */
+    void
+    issue(perfsim::RequestHandle h)
+    {
+        Req &r = arena.get(h);
+        ++r.attempts;
+        Node *node = pick();
+        if (!node) {
+            // Whole cluster down: connection refused, client retries.
+            ++result.timeouts;
+            abandon(h);
+            return;
+        }
+        ++node->inFlight;
+        node->cpu.submit(r.work.cpuWork,
+                         [sp = this, h, attempt = r.attempts, node,
+                          disk = r.work.diskService, net = r.work.netMb] {
+                             sp->advance(h, attempt, node, disk, net,
+                                         perfsim::Stage::Cpu);
+                         });
+        r.timeoutEv = eq.scheduleAfter(
+            timeout, [sp = this, h] { sp->onTimeout(h); });
+    }
+
+    /** Retry with exponential backoff, or give up. */
+    void
+    abandon(perfsim::RequestHandle h)
+    {
+        Req &r = arena.get(h);
+        if (r.attempts <= params.maxRetries) {
+            ++result.retries;
+            double backoff = params.backoffSeconds *
+                             std::pow(2.0, double(r.attempts - 1));
+            r.retryPending = true;
+            eq.scheduleAfter(backoff, [sp = this, h] { sp->retry(h); });
+        } else {
+            ++result.giveups;
+            r.resolved = true;
+            ++epochResolved;
+            ++epochBad;
+        }
+    }
+
+    /** Backoff elapsed: reissue, even if a late answer resolved the
+     * request meanwhile (that attempt then finishes late). */
+    void
+    retry(perfsim::RequestHandle h)
+    {
+        arena.get(h).retryPending = false;
+        issue(h);
+        releaseIfDone(h);
+    }
+
+    void
+    onTimeout(perfsim::RequestHandle h)
+    {
+        Req *r = arena.find(h);
+        if (!r)
+            return; // resolved and released
+        r->timeoutEv = 0;
+        if (r->resolved)
+            return;
+        ++result.timeouts;
+        abandon(h);
+        releaseIfDone(h);
+    }
+
+    /** Station @p done finished attempt @p attempt on @p node: move
+     * to the next station with work, or answer after the last. */
+    void
+    advance(perfsim::RequestHandle h, unsigned attempt, Node *node,
+            double disk, double net, perfsim::Stage done)
+    {
+        switch (done) {
+          case perfsim::Stage::Cpu:
+            if (disk > 0.0) {
+                node->disk.submit(disk, [sp = this, h, attempt, node, net] {
+                    sp->advance(h, attempt, node, 0.0, net,
+                                perfsim::Stage::Disk);
+                });
+                return;
+            }
+            [[fallthrough]];
+          case perfsim::Stage::Disk:
+            if (net > 0.0) {
+                node->nic.submit(net, [sp = this, h, attempt, node] {
+                    sp->advance(h, attempt, node, 0.0, 0.0,
+                                perfsim::Stage::Net);
+                });
+                return;
+            }
+            [[fallthrough]];
+          case perfsim::Stage::Net:
+            finish(h, attempt, node);
+            break;
+        }
+    }
+
+    void
+    finish(perfsim::RequestHandle h, unsigned attempt, Node *node)
+    {
+        --node->inFlight;
+        Req *r = arena.find(h);
+        if (!r || r->resolved || attempt != r->attempts) {
+            // Client already gave up or moved to another attempt.
+            ++result.lateCompletions;
+            return;
+        }
+        r->resolved = true;
+        if (r->timeoutEv) {
+            eq.cancel(r->timeoutEv);
+            r->timeoutEv = 0;
+        }
+        double latency = eq.now() - r->firstIssue;
+        ++result.completions;
+        ++epochResolved;
+        if (latency >= qos.latencyLimit) {
+            ++result.qosViolations;
+            ++epochBad;
+        }
+        releaseIfDone(h);
+    }
+
+    bool
+    epochPasses() const
+    {
+        if (epochResolved == 0)
+            return epochOffered == 0; // vacuous only with no demand
+        return double(epochBad) <=
+               (1.0 - qos.quantile) * double(epochResolved);
+    }
+
+    void
+    epochBoundary()
+    {
+        if (epochPasses()) {
+            ++result.epochsPassed;
+            ++okRunEpochs;
+            inViolation = false;
+        } else {
+            if (!inViolation) {
+                ++violationEpisodes;
+                okTimeSum += double(okRunEpochs) * params.epochSeconds;
+                okRunEpochs = 0;
+            }
+            inViolation = true;
+        }
+        epochOffered = epochResolved = epochBad = 0;
+        if (eq.now() + params.epochSeconds <= horizon + 1e-9)
+            scheduleEpoch();
+    }
+
+    void
+    scheduleEpoch()
+    {
+        eq.scheduleAfter(params.epochSeconds,
+                         [sp = this] { sp->epochBoundary(); });
+    }
 };
 
 } // namespace
@@ -52,18 +314,10 @@ simulateAvailability(workloads::InteractiveWorkload &workload,
     result.horizonSeconds = horizon;
     result.epochsTotal = epochs;
 
-    sim::EventQueue eq;
-    FaultInjector injector(eq, params.injector, params.servers);
-
-    // Owner-tag each server's events with its (1-based) id so a crash
-    // can retire them in bulk; client timers stay untagged and survive
-    // the crash to drive retries.
-    std::deque<Node> nodes;
-    for (unsigned i = 0; i < params.servers; ++i)
-        nodes.emplace_back(eq, st, std::to_string(i), i + 1);
-
-    injector.onServerDown([&](unsigned s, Component) {
-        Node &n = nodes[s];
+    AvailSim sim(workload, st, params, horizon, result);
+    FaultInjector injector(sim.eq, params.injector, params.servers);
+    injector.onServerDown([&sim](unsigned s, Component) {
+        Node &n = sim.nodes[s];
         n.up = false;
         // Crash semantics: all held work is lost.
         n.cpu.purge();
@@ -71,149 +325,15 @@ simulateAvailability(workloads::InteractiveWorkload &workload,
         n.nic.purge();
         n.inFlight = 0;
     });
-    injector.onServerUp([&](unsigned s) { nodes[s].up = true; });
-    injector.onServerThrottle([&](unsigned s, double factor) {
-        nodes[s].cpu.setCapacity(st.cpuCapacityGHz * factor);
+    injector.onServerUp([&sim](unsigned s) { sim.nodes[s].up = true; });
+    injector.onServerThrottle([&sim, &st](unsigned s, double factor) {
+        sim.nodes[s].cpu.setCapacity(st.cpuCapacityGHz * factor);
     });
 
-    auto qos = workload.qos();
-    double timeout = qos.latencyLimit * params.timeoutFactor;
-    Rng loadRng(seedFor(params.seed, "avail-load"));
-
-    // Per-epoch QoS accounting.
-    std::uint64_t epochOffered = 0, epochResolved = 0, epochBad = 0;
-    std::uint64_t okRunEpochs = 0;
-    bool inViolation = false;
-    double okTimeSum = 0.0;
-    std::uint64_t violationEpisodes = 0;
-
-    auto pick = [&]() -> Node * {
-        Node *best = nullptr;
-        for (Node &n : nodes) {
-            if (!n.up)
-                continue;
-            if (!best || n.inFlight < best->inFlight)
-                best = &n; // ties keep the lowest index: deterministic
-        }
-        return best;
-    };
-
-    // issue() sends one attempt; timeout/retry feed back into it.
-    std::function<void(std::shared_ptr<Req>)> issue;
-
-    auto abandon = [&](const std::shared_ptr<Req> &req) {
-        if (req->attempts <= params.maxRetries) {
-            ++result.retries;
-            double backoff = params.backoffSeconds *
-                             std::pow(2.0, double(req->attempts - 1));
-            eq.scheduleAfter(backoff, [&issue, req] { issue(req); });
-        } else {
-            ++result.giveups;
-            req->resolved = true;
-            ++epochResolved;
-            ++epochBad;
-        }
-    };
-
-    issue = [&](std::shared_ptr<Req> req) {
-        Node *node = pick();
-        if (!node) {
-            // Whole cluster down: connection refused, client retries.
-            ++req->attempts;
-            ++result.timeouts;
-            abandon(req);
-            return;
-        }
-        ++req->attempts;
-        ++node->inFlight;
-        unsigned attempt = req->attempts;
-
-        auto finish = [&, req, attempt, node] {
-            --node->inFlight;
-            if (req->resolved || attempt != req->attempts) {
-                // Client already gave up or moved to another attempt.
-                ++result.lateCompletions;
-                return;
-            }
-            req->resolved = true;
-            if (req->timeoutEv) {
-                eq.cancel(req->timeoutEv);
-                req->timeoutEv = 0;
-            }
-            double latency = eq.now() - req->firstIssue;
-            ++result.completions;
-            ++epochResolved;
-            if (latency >= qos.latencyLimit) {
-                ++result.qosViolations;
-                ++epochBad;
-            }
-        };
-        auto netStage = [&, req, finish, node] {
-            if (req->work.netMb > 0.0)
-                node->nic.submit(req->work.netMb, finish);
-            else
-                finish();
-        };
-        auto diskStage = [&, req, netStage, node] {
-            if (req->work.diskService > 0.0)
-                node->disk.submit(req->work.diskService, netStage);
-            else
-                netStage();
-        };
-        node->cpu.submit(req->work.cpuWork, diskStage);
-
-        req->timeoutEv = eq.scheduleAfter(timeout, [&, req] {
-            req->timeoutEv = 0;
-            if (req->resolved)
-                return;
-            ++result.timeouts;
-            abandon(req);
-        });
-    };
-
-    std::function<void()> arrive = [&] {
-        double now = eq.now();
-        if (now >= horizon)
-            return;
-        ++result.offered;
-        ++epochOffered;
-        auto req = std::make_shared<Req>();
-        req->firstIssue = now;
-        req->work = perfsim::requestWork(workload.nextRequest(loadRng), st,
-                                         loadRng);
-        issue(req);
-        eq.scheduleAfter(loadRng.exponential(1.0 / params.offeredRps),
-                         arrive);
-    };
-    eq.scheduleAfter(loadRng.exponential(1.0 / params.offeredRps), arrive);
-
-    auto epochPasses = [&]() -> bool {
-        if (epochResolved == 0)
-            return epochOffered == 0; // vacuous only with no demand
-        return double(epochBad) <=
-               (1.0 - qos.quantile) * double(epochResolved);
-    };
-    std::function<void()> epochBoundary = [&] {
-        if (epochPasses()) {
-            ++result.epochsPassed;
-            ++okRunEpochs;
-            inViolation = false;
-        } else {
-            if (!inViolation) {
-                ++violationEpisodes;
-                okTimeSum += double(okRunEpochs) * params.epochSeconds;
-                okRunEpochs = 0;
-            }
-            inViolation = true;
-        }
-        epochOffered = epochResolved = epochBad = 0;
-        if (eq.now() + params.epochSeconds <= horizon + 1e-9)
-            eq.scheduleAfter(params.epochSeconds, epochBoundary);
-    };
-    eq.scheduleAfter(params.epochSeconds, epochBoundary);
-
+    sim.scheduleArrival();
+    sim.scheduleEpoch();
     injector.start();
-    eq.run(horizon);
+    sim.eq.run(horizon);
     injector.finalize();
 
     result.availability =
@@ -223,15 +343,15 @@ simulateAvailability(workloads::InteractiveWorkload &workload,
     result.goodputFraction =
         result.offered ? double(good) / double(result.offered) : 0.0;
     result.meanTimeToQosViolationSeconds =
-        violationEpisodes ? okTimeSum / double(violationEpisodes)
-                          : horizon;
+        sim.violationEpisodes ? sim.okTimeSum / double(sim.violationEpisodes)
+                              : horizon;
     result.serverDownFraction = injector.stats().serverDownSeconds /
                                 (horizon * double(params.servers));
     result.serverDegradedFraction =
         injector.stats().serverDegradedSeconds /
         (horizon * double(params.servers));
     result.faults = injector.stats();
-    result.kernel = eq.counters();
+    result.kernel = sim.eq.counters();
     return result;
 }
 

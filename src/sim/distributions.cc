@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <mutex>
 
 #include "util/logging.hh"
 
@@ -83,34 +85,82 @@ GuideTable::GuideTable(const std::vector<double> &cdf)
     }
 }
 
-ZipfDist::ZipfDist(std::uint64_t n, double s)
-    : Distribution(DistKind::Zipf), n(n), s(s)
+namespace {
+
+/** Build the tables of a Zipf over ranks 1..n with exponent s. */
+std::shared_ptr<const ZipfDist::Tables>
+buildZipfTables(std::uint64_t n, double s)
 {
-    WSC_ASSERT(n >= 1, "zipf needs at least one rank");
-    WSC_ASSERT(s > 0.0, "zipf exponent must be positive");
-    cdf.resize(n);
+    auto t = std::make_shared<ZipfDist::Tables>();
+    t->cdf.resize(n);
     double acc = 0.0;
     double mean_acc = 0.0;
     for (std::uint64_t k = 1; k <= n; ++k) {
         double p = std::pow(double(k), -s);
         acc += p;
         mean_acc += double(k) * p;
-        cdf[k - 1] = acc;
+        t->cdf[k - 1] = acc;
     }
     double norm = acc;
-    for (auto &c : cdf)
+    for (auto &c : t->cdf)
         c /= norm;
-    cdf.back() = 1.0; // guard FP drift
-    mean_ = mean_acc / norm;
-    guide = GuideTable(cdf);
+    t->cdf.back() = 1.0; // guard FP drift
+    t->mean = mean_acc / norm;
+    t->guide = GuideTable(t->cdf);
+    return t;
+}
+
+/** Largest table (ranks) the process-wide cache keeps: 3 MB. */
+constexpr std::uint64_t kSharedMaxRanks = std::uint64_t(1) << 18;
+
+/**
+ * The process-wide (n, s) -> tables cache. The interactive workloads
+ * construct their generator per evaluated cell, so their tables are
+ * built once and kept for the process. Larger tables (the memory-blade
+ * trace profiles, up to millions of ranks, each built about once) are
+ * built for their owner alone, so the cache never pins them. The build
+ * runs under the lock, so concurrent first users of one pair build it
+ * once.
+ */
+std::shared_ptr<const ZipfDist::Tables>
+sharedZipfTables(std::uint64_t n, double s)
+{
+    if (n > kSharedMaxRanks)
+        return buildZipfTables(n, s);
+    static std::mutex mu;
+    static std::map<std::pair<std::uint64_t, double>,
+                    std::shared_ptr<const ZipfDist::Tables>>
+        cache;
+    std::lock_guard<std::mutex> lock(mu);
+    auto &slot = cache[{n, s}];
+    if (!slot)
+        slot = buildZipfTables(n, s);
+    return slot;
+}
+
+} // namespace
+
+ZipfDist::ZipfDist(std::uint64_t n, double s)
+    : Distribution(DistKind::Zipf), n(n), s(s)
+{
+    WSC_ASSERT(n >= 1, "zipf needs at least one rank");
+    WSC_ASSERT(s > 0.0, "zipf exponent must be positive");
+    t = sharedZipfTables(n, s);
+}
+
+double
+ZipfDist::cdfAt(std::uint64_t k) const
+{
+    WSC_ASSERT(k >= 1, "zipf cdf rank out of range: " << k);
+    return t->cdf[(k < n ? k : n) - 1];
 }
 
 double
 ZipfDist::pmf(std::uint64_t k) const
 {
     WSC_ASSERT(k >= 1 && k <= n, "zipf pmf rank out of range: " << k);
-    double prev = (k == 1) ? 0.0 : cdf[k - 2];
-    return cdf[k - 1] - prev;
+    double prev = (k == 1) ? 0.0 : t->cdf[k - 2];
+    return t->cdf[k - 1] - prev;
 }
 
 EmpiricalDist::EmpiricalDist(std::vector<double> values_in,

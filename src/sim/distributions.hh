@@ -233,9 +233,12 @@ class GuideTable
  * P(rank = k) proportional to 1/k^s.
  *
  * Sampling uses an explicit inverse-CDF table accelerated by a guide
- * table (see GuideTable), expected O(1) per draw; both tables are
- * built once at construction. Suitable for the catalog sizes the
- * workloads use (up to a few million items).
+ * table (see GuideTable), expected O(1) per draw. Tables of up to
+ * 2^18 ranks are built once per process for each (n, s) and shared
+ * read-only by every ZipfDist with those parameters, so the per-cell
+ * workload instances the evaluators construct cost a lookup, not a
+ * 10^5-entry rebuild; larger tables belong to their ZipfDist. Suitable
+ * for the catalog sizes the workloads use (up to a few million items).
  */
 class ZipfDist final : public Distribution
 {
@@ -264,10 +267,19 @@ class ZipfDist final : public Distribution
     std::uint64_t
     rankForUniform(double u) const
     {
-        return std::uint64_t(guide.indexFor(cdf, u)) + 1;
+        return std::uint64_t(t->guide.indexFor(t->cdf, u)) + 1;
     }
 
-    double mean() const override { return mean_; }
+    /**
+     * P(rank <= k) as the sampler sees it, for k >= 1: a uniform u
+     * draws a rank <= k exactly when u <= cdfAt(k), because the
+     * inversion returns the first index whose CDF entry reaches u. A
+     * caller that only tests a drawn rank against a fixed k can
+     * compare its uniform with this value and skip the table walk.
+     */
+    double cdfAt(std::uint64_t k) const;
+
+    double mean() const override { return t->mean; }
 
     /** Probability of exactly rank k. */
     double pmf(std::uint64_t k) const;
@@ -275,17 +287,22 @@ class ZipfDist final : public Distribution
     std::uint64_t size() const { return n; }
 
     /** Inversion tables, exposed for the batched sampler. */
-    const GuideTable &guideTable() const { return guide; }
-    const std::vector<double> &cdfTable() const { return cdf; }
+    const GuideTable &guideTable() const { return t->guide; }
+    const std::vector<double> &cdfTable() const { return t->cdf; }
+
+    /** The read-only inversion tables of one (n, s) pair. */
+    struct Tables {
+        /** cdf[i] = P(rank <= i+1). */
+        std::vector<double> cdf;
+        /** O(1) indexed inversion over cdf (see GuideTable). */
+        GuideTable guide;
+        double mean = 0.0;
+    };
 
   private:
     std::uint64_t n;
     double s;
-    double mean_;
-    /** cdf[i] = P(rank <= i+1). */
-    std::vector<double> cdf;
-    /** O(1) indexed inversion over cdf (see GuideTable). */
-    GuideTable guide;
+    std::shared_ptr<const Tables> t;
 };
 
 /**

@@ -11,18 +11,7 @@ namespace stats {
 void
 PercentileTracker::add(double x)
 {
-    if (sorted && !samples.empty() && x < samples.back())
-        sorted = false;
     samples.push_back(x);
-}
-
-void
-PercentileTracker::ensureSorted() const
-{
-    if (!sorted) {
-        std::sort(samples.begin(), samples.end());
-        sorted = true;
-    }
 }
 
 double
@@ -30,16 +19,17 @@ PercentileTracker::quantile(double q) const
 {
     WSC_ASSERT(q >= 0.0 && q <= 1.0, "quantile out of range: " << q);
     WSC_ASSERT(!samples.empty(), "quantile of empty tracker");
-    ensureSorted();
-    if (q <= 0.0)
-        return samples.front();
     // Nearest-rank: ceil(q * n) converted to a zero-based index.
     std::size_t rank = std::size_t(std::ceil(q * double(samples.size())));
     if (rank == 0)
         rank = 1;
     if (rank > samples.size())
         rank = samples.size();
-    return samples[rank - 1];
+    // Selection places the element a full sort would put at this
+    // index there, in linear time; a query needs no other order.
+    auto nth = samples.begin() + std::ptrdiff_t(rank - 1);
+    std::nth_element(samples.begin(), nth, samples.end());
+    return *nth;
 }
 
 double
@@ -47,10 +37,10 @@ PercentileTracker::fractionAbove(double threshold) const
 {
     if (samples.empty())
         return 0.0;
-    ensureSorted();
-    // upper_bound: strictly greater than the threshold.
-    auto it = std::upper_bound(samples.begin(), samples.end(), threshold);
-    return double(samples.end() - it) / double(samples.size());
+    auto above =
+        std::count_if(samples.begin(), samples.end(),
+                      [threshold](double x) { return x > threshold; });
+    return double(above) / double(samples.size());
 }
 
 double
@@ -58,18 +48,18 @@ PercentileTracker::fractionAtLeast(double threshold) const
 {
     if (samples.empty())
         return 0.0;
-    ensureSorted();
-    // lower_bound: greater than or equal, so samples exactly at the
-    // threshold count (they fail a strict "< threshold" QoS).
-    auto it = std::lower_bound(samples.begin(), samples.end(), threshold);
-    return double(samples.end() - it) / double(samples.size());
+    // Samples exactly at the threshold count (they fail a strict
+    // "< threshold" QoS).
+    auto atLeast =
+        std::count_if(samples.begin(), samples.end(),
+                      [threshold](double x) { return x >= threshold; });
+    return double(atLeast) / double(samples.size());
 }
 
 void
 PercentileTracker::clear()
 {
     samples.clear();
-    sorted = true;
 }
 
 void

@@ -20,8 +20,8 @@ namespace stats {
 /**
  * Retains samples and computes exact quantiles on demand.
  *
- * Queries sort lazily; repeated queries without intervening inserts are
- * O(1) after the first.
+ * Queries never sort: a quantile is one std::nth_element selection and
+ * a threshold fraction one counting pass, each O(n) per query.
  */
 class PercentileTracker
 {
@@ -33,7 +33,9 @@ class PercentileTracker
     std::size_t count() const { return samples.size(); }
 
     /**
-     * Exact quantile using nearest-rank on the sorted samples.
+     * Exact quantile: the nearest-rank element of the sorted samples,
+     * found by selection. Reorders the retained samples (never their
+     * values), hence the mutable storage.
      * @param q Quantile in [0, 1]; q=0.95 is the 95th percentile.
      */
     double quantile(double q) const;
@@ -71,14 +73,6 @@ class PercentileTracker
 
   private:
     mutable std::vector<double> samples;
-    /**
-     * Sortedness is tracked across inserts, not just queries: add()
-     * only clears the flag when the new sample actually breaks the
-     * order, so nondecreasing streams (and repeated queries on
-     * unchanged data, via the mutable flag) never pay a re-sort.
-     */
-    mutable bool sorted = true;
-    void ensureSorted() const;
 };
 
 } // namespace stats

@@ -32,18 +32,47 @@ class Rng
     {
     }
 
-    /** Uniform double in [0, 1). */
+    /**
+     * libstdc++'s generate_canonical<double, 53> of one 64-bit draw:
+     * double(bits) / 2^64 (a power-of-two scale, so exact), with a
+     * result rounded up to 1 clamped to nextafter(1, 0).
+     */
+    static double
+    canonical(std::uint64_t bits)
+    {
+        double u = double(bits) * 0x1.0p-64;
+        return u < 1.0 ? u : 0x1.fffffffffffffp-1;
+    }
+
+    /**
+     * Uniform double in [0, 1).
+     *
+     * Bit-equal to std::uniform_real_distribution<double>(0, 1) on the
+     * same engine, which under libstdc++ is canonical() of one draw.
+     * Spelled out inline because the library routine is an
+     * out-of-line loop with a long-double setup on every call. Other
+     * standard libraries keep the std:: distribution.
+     */
     double
     uniform()
     {
+#if defined(__GLIBCXX__)
+        return canonical(engine());
+#else
         return std::uniform_real_distribution<double>(0.0, 1.0)(engine);
+#endif
     }
 
-    /** Uniform double in [lo, hi). */
+    /** Uniform double in [lo, hi); the libstdc++ affine map of
+     * uniform(), so bit-equal to uniform_real_distribution(lo, hi). */
     double
     uniform(double lo, double hi)
     {
+#if defined(__GLIBCXX__)
+        return uniform() * (hi - lo) + lo;
+#else
         return std::uniform_real_distribution<double>(lo, hi)(engine);
+#endif
     }
 
     /** Uniform integer in [lo, hi] inclusive. */
@@ -53,25 +82,53 @@ class Rng
         return std::uniform_int_distribution<std::uint64_t>(lo, hi)(engine);
     }
 
-    /** Exponentially distributed double with the given mean. */
+    /** Exponentially distributed double with the given mean; bit-equal
+     * to exponential_distribution(1 / mean), whose libstdc++ body is
+     * -log(1 - u) / lambda over the same canonical uniform. */
     double
     exponential(double mean)
     {
+#if defined(__GLIBCXX__)
+        return -std::log(1.0 - uniform()) / (1.0 / mean);
+#else
         return std::exponential_distribution<double>(1.0 / mean)(engine);
+#endif
     }
 
-    /** Normally distributed double. */
+    /**
+     * Normally distributed double; bit-equal to a fresh
+     * normal_distribution(mean, stddev), whose libstdc++ body is the
+     * Marsaglia polar method over uniform(). A fresh distribution
+     * discards the pair's second variate, and so does this.
+     */
     double
     normal(double mean, double stddev)
     {
+#if defined(__GLIBCXX__)
+        double x, y, r2;
+        do {
+            x = 2.0 * uniform() - 1.0;
+            y = 2.0 * uniform() - 1.0;
+            r2 = x * x + y * y;
+        } while (r2 > 1.0 || r2 == 0.0);
+        double mult = std::sqrt(-2 * std::log(r2) / r2);
+        return y * mult * stddev + mean;
+#else
         return std::normal_distribution<double>(mean, stddev)(engine);
+#endif
     }
 
-    /** Lognormal draw parameterized by the underlying normal's mu/sigma. */
+    /** Lognormal draw parameterized by the underlying normal's
+     * mu/sigma; bit-equal to lognormal_distribution(mu, sigma), which
+     * libstdc++ computes as exp(sigma * N(0, 1) + mu). */
     double
     lognormal(double mu, double sigma)
     {
+#if defined(__GLIBCXX__)
+        return std::exp(sigma * normal(0.0, 1.0) + mu);
+#else
         return std::lognormal_distribution<double>(mu, sigma)(engine);
+#endif
     }
 
     /** Bernoulli draw. */

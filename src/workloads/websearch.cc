@@ -19,6 +19,8 @@ Websearch::Websearch(WebsearchParams params)
                "cached fraction out of range");
     cachedRankLimit =
         std::uint64_t(double(p.vocabularyTerms) * p.cachedTermFraction);
+    // No rank is cached at limit 0, and every uniform exceeds -1.
+    cachedCdf = cachedRankLimit ? termDist.cdfAt(cachedRankLimit) : -1.0;
     meanKeywords = keywordCountDist.mean();
     // P(term cached) = CDF of the Zipf at the cached-rank limit.
     double cached_mass = 0.0;
@@ -47,11 +49,12 @@ Websearch::nextRequest(Rng &rng)
     double work = p.cpuWorkBase + p.cpuWorkPerTerm * double(keywords);
     // Shape per-query variability with a lognormal multiplier around 1.
     d.cpuWork = work * cpuShape.sampleImpl(rng);
-    for (unsigned i = 0; i < keywords; ++i) {
-        std::uint64_t rank = termDist.sampleRank(rng);
-        if (!termIsCached(rank))
+    // Each keyword's rank matters only through termIsCached, so its
+    // uniform is compared with the CDF at the cached-rank limit
+    // instead of inverted: the same draw, the same verdict.
+    for (unsigned i = 0; i < keywords; ++i)
+        if (!termCachedFor(rng.uniform()))
             d.diskReadBytes += p.postingListBytes;
-    }
     d.netBytes = p.responseBytes;
     return d;
 }
@@ -65,34 +68,32 @@ Websearch::nextRequestBatch(BatchStream &s, ServiceDemand *out,
     countIdx.resize(n);
     batcher.drawEmpiricalIndices(keywordCountDist, s.fast,
                                  countIdx.data(), n);
-    std::size_t totalTerms = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        unsigned kw = unsigned(keywordCountDist.valueAt(countIdx[i]));
-        countIdx[i] = kw;
-        totalTerms += kw;
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        countIdx[i] = unsigned(keywordCountDist.valueAt(countIdx[i]));
 
-    // Pass 2: every term rank of every query in one batched sweep —
-    // this is the draw whose guide-table misses and uniform cost
-    // dominate the scalar path; the batch overlaps the misses and the
-    // fast engine removes most of the per-uniform cost.
-    rankBuf.resize(totalTerms);
-    batcher.drawZipfRanks(termDist, s.fast, rankBuf.data(), totalTerms);
+    // Pass 2: every term of every query, in query order: one
+    // fast-engine uniform per term, tested against the cached-rank
+    // CDF (see nextRequest), so no table is touched.
+    coldBuf.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        unsigned cold = 0;
+        for (unsigned k = 0; k < countIdx[i]; ++k)
+            cold += !termCachedFor(s.fast.uniform());
+        coldBuf[i] = cold;
+    }
 
     // Pass 3: CPU shaping multipliers (batched Box-Muller over the
     // fast engine — exact lognormal law) and demand assembly.
     shapeBuf.resize(n);
     batcher.drawLognormal(cpuShape, s.fast, shapeBuf.data(), n);
-    std::size_t term = 0;
     for (std::size_t i = 0; i < n; ++i) {
         unsigned keywords = countIdx[i];
         ServiceDemand d;
         double work =
             p.cpuWorkBase + p.cpuWorkPerTerm * double(keywords);
         d.cpuWork = work * shapeBuf[i];
-        for (unsigned k = 0; k < keywords; ++k)
-            if (!termIsCached(rankBuf[term++]))
-                d.diskReadBytes += p.postingListBytes;
+        for (unsigned k = 0; k < coldBuf[i]; ++k)
+            d.diskReadBytes += p.postingListBytes;
         d.netBytes = p.responseBytes;
         out[i] = d;
     }

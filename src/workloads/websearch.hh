@@ -68,11 +68,10 @@ class Websearch : public InteractiveWorkload
 
     /**
      * Structure-of-arrays batch generation: all keyword counts, then
-     * all term ranks (batched through sim::SampleBatcher over the
-     * stream's fast engine so the Zipf guide-table misses overlap and
-     * the uniforms are cheap), then all CPU shaping multipliers. Same
-     * joint demand distribution as the scalar path; different draws,
-     * so only fast-mode demand streams may use it.
+     * every term's cached/cold verdict (one fast-engine uniform each),
+     * then all CPU shaping multipliers. Same joint demand distribution
+     * as the scalar path; different draws, so only fast-mode demand
+     * streams may use it.
      */
     void nextRequestBatch(BatchStream &s, ServiceDemand *out,
                           std::size_t n) override;
@@ -95,12 +94,16 @@ class Websearch : public InteractiveWorkload
     sim::LognormalDist cpuShape;
     /** Ranks at or below this are cached (popular terms are cached). */
     std::uint64_t cachedRankLimit;
+    /** termDist.cdfAt(cachedRankLimit): a term whose uniform is at or
+     * below this draws a cached rank. */
+    double cachedCdf;
+    bool termCachedFor(double u) const { return u <= cachedCdf; }
     double meanKeywords;
     double coldTermProb; //!< probability one sampled term is uncached
     // Batch-path scratch (sized on demand; reused across calls).
     sim::SampleBatcher batcher;
     std::vector<std::uint32_t> countIdx;
-    std::vector<std::uint64_t> rankBuf;
+    std::vector<unsigned> coldBuf;
     std::vector<double> shapeBuf;
 };
 

@@ -18,8 +18,10 @@ Ytube::sampleVideoRank(Rng &rng)
 ServiceDemand
 Ytube::nextRequest(Rng &rng)
 {
-    (void)sampleVideoRank(rng); // popularity drives cache behavior via
-                                // the trait-level hit rate
+    // Popularity drives cache behavior through the trait-level hit
+    // rate, so the rank is never used: consume its uniform and skip
+    // the inversion (sampleVideoRank draws the same one).
+    (void)rng.uniform();
     double mb = transferSize.sampleImpl(rng);
     ServiceDemand d;
     d.cpuWork = p.cpuWorkBase + p.cpuWorkPerMB * mb;
@@ -32,12 +34,11 @@ void
 Ytube::nextRequestBatch(BatchStream &s, ServiceDemand *out,
                         std::size_t n)
 {
-    // The popularity draw is the expensive one (catalog-sized Zipf
-    // guide table); batch it over the fast engine so its misses
-    // overlap and the uniforms are cheap, then assemble demands from
-    // batched Box-Muller transfer-size draws (exact lognormal law).
-    rankBuf.resize(n);
-    batcher.drawZipfRanks(popularity, s.fast, rankBuf.data(), n);
+    // The popularity uniforms are consumed unused, as in nextRequest;
+    // then demands come from batched Box-Muller transfer-size draws
+    // (exact lognormal law).
+    for (std::size_t i = 0; i < n; ++i)
+        (void)s.fast.uniform();
     sizeBuf.resize(n);
     batcher.drawLognormal(transferSize, s.fast, sizeBuf.data(), n);
     for (std::size_t i = 0; i < n; ++i) {

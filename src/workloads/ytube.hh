@@ -69,10 +69,11 @@ class Ytube : public InteractiveWorkload
     ServiceDemand nextRequest(Rng &rng) override;
 
     /**
-     * Structure-of-arrays batch generation: all popularity ranks in
-     * one batched guide-table sweep over the stream's fast engine,
-     * then all transfer sizes. Same joint distribution as the scalar
-     * path, different draws — fast-mode demand streams only.
+     * Structure-of-arrays batch generation: all popularity uniforms
+     * from the stream's fast engine (consumed, like the scalar path's,
+     * without inversion), then all transfer sizes. Same joint
+     * distribution as the scalar path, different draws — fast-mode
+     * demand streams only.
      */
     void nextRequestBatch(BatchStream &s, ServiceDemand *out,
                           std::size_t n) override;
@@ -90,7 +91,6 @@ class Ytube : public InteractiveWorkload
     sim::LognormalDist transferSize;
     // Batch-path scratch (sized on demand; reused across calls).
     sim::SampleBatcher batcher;
-    std::vector<std::uint64_t> rankBuf;
     std::vector<double> sizeBuf;
 };
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -134,6 +135,55 @@ TEST(Percentile, InterleavedAddAndQuery)
     EXPECT_DOUBLE_EQ(p.quantile(0.5), 5.0);
     p.clear();
     EXPECT_EQ(p.count(), 0u);
+}
+
+TEST(Percentile, SelectionMatchesSortedNearestRank)
+{
+    // Random samples on a coarse grid (many duplicates), queried at
+    // the QoS quantiles between bursts of inserts: every answer must
+    // equal the nearest-rank element of a fully sorted copy.
+    wsc::Rng rng(2024);
+    PercentileTracker p;
+    std::vector<double> all;
+    const double qs[] = {0.0, 0.5, 0.95, 0.99, 1.0};
+    for (int round = 0; round < 40; ++round) {
+        int burst = 1 + int(rng.uniformInt(0, 300));
+        for (int i = 0; i < burst; ++i) {
+            double x = double(rng.uniformInt(0, 50)) * 0.125;
+            p.add(x);
+            all.push_back(x);
+        }
+        std::vector<double> sorted = all;
+        std::sort(sorted.begin(), sorted.end());
+        for (double q : qs) {
+            std::size_t rank =
+                std::size_t(std::ceil(q * double(sorted.size())));
+            rank = std::min(std::max<std::size_t>(rank, 1), sorted.size());
+            ASSERT_EQ(p.quantile(q), sorted[rank - 1])
+                << "round " << round << " q " << q;
+            double threshold = double(rng.uniformInt(0, 52)) * 0.125;
+            double atLeast =
+                double(sorted.end() - std::lower_bound(sorted.begin(),
+                                                       sorted.end(),
+                                                       threshold)) /
+                double(sorted.size());
+            double above =
+                double(sorted.end() - std::upper_bound(sorted.begin(),
+                                                       sorted.end(),
+                                                       threshold)) /
+                double(sorted.size());
+            ASSERT_EQ(p.fractionAtLeast(threshold), atLeast);
+            ASSERT_EQ(p.fractionAbove(threshold), above);
+        }
+        ASSERT_EQ(p.count(), all.size());
+    }
+    // Long runs of equal values in insertion order.
+    PercentileTracker inOrder;
+    for (int i = 0; i < 1000; ++i)
+        inOrder.add(double(i / 3));
+    EXPECT_EQ(inOrder.quantile(0.95), 316.0);
+    EXPECT_EQ(inOrder.quantile(0.0), 0.0);
+    EXPECT_EQ(inOrder.fractionAtLeast(333.0), 0.001);
 }
 
 TEST(Percentile, EmptyQuantilePanics)

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <random>
 #include <sstream>
 
 #include "util/logging.hh"
@@ -191,6 +194,87 @@ TEST(Rng, ExponentialMeanApproximation)
     for (int i = 0; i < n; ++i)
         sum += r.exponential(2.5);
     EXPECT_NEAR(sum / n, 2.5, 0.05);
+}
+
+TEST(Rng, DrawsAreBitEqualToStdDistributions)
+{
+    // The inline draws must be the std:: distributions' exact values
+    // over a copy of the same engine, and leave it in the same state.
+    // normal and lognormal build a fresh distribution per draw, as
+    // Rng did, so no second polar variate carries over.
+    const int n = 1 << 20;
+    for (std::uint64_t seed : {1ull, 42ull, 0x5DEECE66Dull, ~0ull}) {
+        Rng r(seed);
+        std::mt19937_64 ref = r.raw();
+        std::uniform_real_distribution<double> unit(0.0, 1.0);
+        for (int i = 0; i < n; ++i) {
+            double got = r.uniform();
+            double want = unit(ref);
+            ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+                << "uniform draw " << i << " seed " << seed;
+        }
+        std::uniform_real_distribution<double> span(-3.0, 7.5);
+        for (int i = 0; i < n; ++i) {
+            double got = r.uniform(-3.0, 7.5);
+            double want = span(ref);
+            ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+                << "uniform(lo, hi) draw " << i << " seed " << seed;
+        }
+        for (double mean : {0.01, 1.0, 2.5}) {
+            std::exponential_distribution<double> expo(1.0 / mean);
+            for (int i = 0; i < n; ++i) {
+                double got = r.exponential(mean);
+                double want = expo(ref);
+                ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+                    << "exponential(" << mean << ") draw " << i
+                    << " seed " << seed;
+            }
+        }
+        for (int i = 0; i < n / 4; ++i) {
+            double got = r.normal(-1.5, 0.3);
+            double want = std::normal_distribution<double>(-1.5, 0.3)(ref);
+            ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+                << "normal draw " << i << " seed " << seed;
+        }
+        for (int i = 0; i < n / 4; ++i) {
+            double got = r.lognormal(0.2, 0.8);
+            double want =
+                std::lognormal_distribution<double>(0.2, 0.8)(ref);
+            ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+                << "lognormal draw " << i << " seed " << seed;
+        }
+        EXPECT_TRUE(r.raw() == ref) << "engine state diverged";
+    }
+}
+
+/** Engine stub returning one fixed 64-bit value, for probing
+ * std::generate_canonical at chosen inputs. */
+struct FixedBits {
+    using result_type = std::uint64_t;
+    std::uint64_t bits;
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type(0); }
+    result_type operator()() { return bits; }
+};
+
+TEST(Rng, CanonicalMatchesGenerateCanonicalAndClampsBelowOne)
+{
+#if !defined(__GLIBCXX__)
+    GTEST_SKIP() << "Rng::uniform uses the std:: distribution here";
+#endif
+    // 2^64 - 1 rounds up to 2^64, so the quotient is 1 and clamps.
+    EXPECT_EQ(Rng::canonical(~0ull), std::nextafter(1.0, 0.0));
+    const std::uint64_t probes[] = {
+        0ull, 1ull, 2047ull, 2048ull, 1ull << 52, 1ull << 63,
+        (1ull << 63) + 1, ~0ull - 2048, ~0ull - 1024, ~0ull - 1023,
+        ~0ull - 1, ~0ull};
+    for (std::uint64_t x : probes) {
+        FixedBits stub{x};
+        double want = std::generate_canonical<double, 53>(stub);
+        double got = Rng::canonical(x);
+        EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0) << "bits " << x;
+        EXPECT_LT(got, 1.0) << "bits " << x;
+    }
 }
 
 TEST(Rng, BernoulliFrequency)

@@ -267,6 +267,12 @@ main(int argc, char **argv)
             availParams.servers = unsigned(servers);
             availParams.horizonSeconds = args.getDouble("avail-horizon");
             availParams.epochSeconds = args.getDouble("avail-epoch");
+            // Negated compares also refuse NaN.
+            if (!(availParams.horizonSeconds > 0))
+                fatal("--avail-horizon must be > 0");
+            if (!(availParams.epochSeconds > 0 &&
+                  availParams.epochSeconds <= availParams.horizonSeconds))
+                fatal("--avail-epoch must be in (0, --avail-horizon]");
             availParams.loadFactor = args.getDouble("avail-load");
             if (availParams.loadFactor <= 0 ||
                 availParams.loadFactor > 1)
