@@ -32,12 +32,19 @@ struct Req {
     perfsim::RequestWork work;
 };
 
+/** One attempt, as its stage continuations carry it. */
+struct Attempt {
+    perfsim::RequestHandle h;
+    unsigned attempt; //!< the request's attempt number at issue
+    Node *node;       //!< the server it was routed to
+};
+
 /**
  * One availability run. Requests live in a RequestArena. Events
  * capture the sim pointer, request events add the handle, and station
- * completions add the attempt stamp, the serving node and the
- * downstream work, so every capture fits sim::InlineAction's inline
- * storage.
+ * completions run through perfsim::advanceCarried with an Attempt
+ * record and the downstream work, so every capture fits
+ * sim::InlineAction's inline storage.
  *
  * A slot is released once its request is resolved and no retry timer
  * is pending, the last point at which anything still reads it. A
@@ -148,12 +155,7 @@ struct AvailSim {
             return;
         }
         ++node->inFlight;
-        node->cpu.submit(r.work.cpuWork,
-                         [sp = this, h, attempt = r.attempts, node,
-                          disk = r.work.diskService, net = r.work.netMb] {
-                             sp->advance(h, attempt, node, disk, net,
-                                         perfsim::Stage::Cpu);
-                         });
+        perfsim::startCarried(*this, Attempt{h, r.attempts, node}, r.work);
         r.timeoutEv = eq.scheduleAfter(
             timeout, [sp = this, h] { sp->onTimeout(h); });
     }
@@ -201,43 +203,16 @@ struct AvailSim {
         releaseIfDone(h);
     }
 
-    /** Station @p done finished attempt @p attempt on @p node: move
-     * to the next station with work, or answer after the last. */
-    void
-    advance(perfsim::RequestHandle h, unsigned attempt, Node *node,
-            double disk, double net, perfsim::Stage done)
-    {
-        switch (done) {
-          case perfsim::Stage::Cpu:
-            if (disk > 0.0) {
-                node->disk.submit(disk, [sp = this, h, attempt, node, net] {
-                    sp->advance(h, attempt, node, 0.0, net,
-                                perfsim::Stage::Disk);
-                });
-                return;
-            }
-            [[fallthrough]];
-          case perfsim::Stage::Disk:
-            if (net > 0.0) {
-                node->nic.submit(net, [sp = this, h, attempt, node] {
-                    sp->advance(h, attempt, node, 0.0, 0.0,
-                                perfsim::Stage::Net);
-                });
-                return;
-            }
-            [[fallthrough]];
-          case perfsim::Stage::Net:
-            finish(h, attempt, node);
-            break;
-        }
-    }
+    // advanceCarried hooks.
+    perfsim::ServerStations &stationsOf(const Attempt &a) { return *a.node; }
 
+    /** Attempt @p a's answer left its server. */
     void
-    finish(perfsim::RequestHandle h, unsigned attempt, Node *node)
+    answer(const Attempt &a)
     {
-        --node->inFlight;
-        Req *r = arena.find(h);
-        if (!r || r->resolved || attempt != r->attempts) {
+        --a.node->inFlight;
+        Req *r = arena.find(a.h);
+        if (!r || r->resolved || a.attempt != r->attempts) {
             // Client already gave up or moved to another attempt.
             ++result.lateCompletions;
             return;
@@ -254,7 +229,7 @@ struct AvailSim {
             ++result.qosViolations;
             ++epochBad;
         }
-        releaseIfDone(h);
+        releaseIfDone(a.h);
     }
 
     bool

@@ -8,11 +8,11 @@
  * capturing a {driver pointer, handle} pair (plus, on the timeout
  * path, the attempt number and demand values needed to keep routing a
  * superseded attempt's stages exactly as the oracle does), and every
- * stage completes into one dispatcher: the shared advanceStage
- * (request_pipeline.hh) on the classic path, timedAdvance on the
- * timeout path. Late completions of abandoned requests are detected
- * by the handle's failed generation check — the pooled equivalent of
- * the oracle's kept-alive ReqCtl.
+ * stage completes into one of the shared dispatchers in
+ * request_pipeline.hh: advanceStage on the classic path,
+ * advanceCarried on the timeout path. Late completions of abandoned
+ * requests are detected by the handle's failed generation check — the
+ * pooled equivalent of the oracle's kept-alive ReqCtl.
  *
  * The contract, enforced by tests and bench_closed_loop, is
  * bit-identity with runClosedLoopOracle (closed_loop_oracle.cc): the
@@ -47,6 +47,13 @@ struct Request {
     RequestWork work;
     unsigned attempts = 0;    //!< current attempt number (timed path)
     sim::EventId timeoutEv = 0;
+};
+
+/** One timed-path attempt, as its stage continuations carry it. */
+struct TimedAttempt {
+    RequestHandle h;
+    unsigned attempt; //!< the request's attempt number at issue
+    double issued;    //!< the request's first issue time
 };
 
 /** Shared mutable state for the client population and epoch stats. */
@@ -99,14 +106,14 @@ struct DriverState {
     // advanceStage hooks (classic path).
     ServerStations &stationsOf(const Request &) { return server; }
     void respond(RequestHandle h, const Request &r);
+    // advanceCarried hooks (timed path).
+    ServerStations &stationsOf(const TimedAttempt &) { return server; }
+    void answer(const TimedAttempt &a);
 };
 
 void clientLoop(DriverState &s);
 void beginRequest(DriverState &s);
 void issueAttempt(DriverState &s, RequestHandle h);
-void timedAdvance(DriverState &s, RequestHandle h, unsigned attempt,
-                  double issued, double diskService, double netMb,
-                  Stage done);
 void onTimeout(DriverState &s, RequestHandle h);
 
 /**
@@ -172,74 +179,40 @@ issueAttempt(DriverState &s, RequestHandle h)
 {
     Request &r = s.arena.get(h);
     ++r.attempts;
-    unsigned attempt = r.attempts;
-    // Stage continuations carry the demand values: a superseded
-    // attempt keeps flowing through disk/nic exactly like the
-    // oracle's closures do, even after the slot is released (or
+    // The continuations carry the attempt and its demand values: a
+    // superseded attempt keeps flowing through disk/nic exactly like
+    // the oracle's closures do, even after the slot is released (or
     // re-let to another request).
-    double issued = r.issued;
-    double diskService = r.work.diskService;
-    double netMb = r.work.netMb;
-    s.server.cpu.submit(r.work.cpuWork,
-                        [sp = &s, h, attempt, issued, diskService, netMb] {
-                            timedAdvance(*sp, h, attempt, issued,
-                                         diskService, netMb, Stage::Cpu);
-                        });
+    startCarried(s, TimedAttempt{h, r.attempts, r.issued}, r.work);
     r.timeoutEv = s.eq.scheduleAfter(
         s.requestTimeout, [sp = &s, h] { onTimeout(*sp, h); });
 }
 
 /**
- * Timed-path dispatcher. Intermediate stages never consult the slot
- * (the oracle routes superseded attempts through disk/nic without
- * checking either); only the final respond checks the handle and the
- * attempt stamp, counting a failed check as a late completion.
+ * Timed-path answer. Intermediate stages never consult the slot (the
+ * oracle routes superseded attempts through disk/nic without checking
+ * either); only here are the handle and the attempt stamp checked, a
+ * failed check counting as a late completion.
  */
 void
-timedAdvance(DriverState &s, RequestHandle h, unsigned attempt,
-             double issued, double diskService, double netMb,
-             Stage done)
+DriverState::answer(const TimedAttempt &a)
 {
-    switch (done) {
-      case Stage::Cpu:
-        if (diskService > 0.0) {
-            s.server.disk.submit(diskService,
-                                 [sp = &s, h, attempt, issued, netMb] {
-                                     timedAdvance(*sp, h, attempt, issued,
-                                                  0.0, netMb, Stage::Disk);
-                                 });
-            return;
-        }
-        [[fallthrough]];
-      case Stage::Disk:
-        if (netMb > 0.0) {
-            s.server.nic.submit(netMb, [sp = &s, h, attempt, issued] {
-                timedAdvance(*sp, h, attempt, issued, 0.0, 0.0,
-                             Stage::Net);
-            });
-            return;
-        }
-        [[fallthrough]];
-      case Stage::Net: {
-        Request *r = s.arena.find(h);
-        if (!r || attempt != r->attempts) {
-            // Answer for an abandoned or superseded attempt: the slot
-            // was released (generation mismatch) or re-armed with a
-            // newer attempt. The oracle's ReqCtl resolved/attempts
-            // check, without the control block.
-            ++s.lateCompletions;
-            return;
-        }
-        if (r->timeoutEv) {
-            s.eq.cancel(r->timeoutEv);
-            r->timeoutEv = 0;
-        }
-        s.record(s.eq.now() - issued);
-        s.arena.release(h);
-        clientLoop(s);
-        break;
-      }
+    Request *r = arena.find(a.h);
+    if (!r || a.attempt != r->attempts) {
+        // Answer for an abandoned or superseded attempt: the slot was
+        // released (generation mismatch) or re-armed with a newer
+        // attempt. The oracle's ReqCtl resolved/attempts check,
+        // without the control block.
+        ++lateCompletions;
+        return;
     }
+    if (r->timeoutEv) {
+        eq.cancel(r->timeoutEv);
+        r->timeoutEv = 0;
+    }
+    record(eq.now() - a.issued);
+    arena.release(a.h);
+    clientLoop(*this);
 }
 
 /** Abandonment timer fired: retry with exponential backoff or give up. */

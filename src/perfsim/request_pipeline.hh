@@ -8,7 +8,9 @@
  * (faults/availability_sim.cc) all call it, so the cache-hit draw, the
  * access charges and the unit conversions exist once. advanceStage()
  * moves a request through one server's CPU -> disk -> NIC stations
- * for the open-loop engine and the closed-loop driver's classic path.
+ * for the open-loop engine and the closed-loop driver's classic path;
+ * advanceCarried() is its twin for attempts that can outlive their
+ * slot (the closed-loop timed path and the availability DES).
  * The analytic bound (throughput.cc) and the batch runner apply
  * different, expected-value formulas and keep their own; the
  * closed-loop oracle (closed_loop_oracle.cc) keeps its verbatim copy.
@@ -19,6 +21,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "perfsim/calibration.hh"
 #include "perfsim/request_arena.hh"
@@ -130,6 +133,64 @@ startStages(Engine &e, RequestHandle h)
     e.stationsOf(r).cpu.submit(r.work.cpuWork, [ep = &e, h] {
         advanceStage(*ep, h, Stage::Cpu);
     });
+}
+
+/**
+ * advanceStage() for engines whose attempts can outlive their arena
+ * slot: a timed-out attempt keeps loading its server after the client
+ * has released or re-armed the request, so it cannot read its work
+ * back from the slot. Its continuations carry the downstream disk and
+ * NIC work and @p Engine's attempt record @p a (handle, attempt stamp
+ * and whatever else the engine routes by); nothing consults the slot
+ * until the answer. Hooks:
+ *
+ *  - stationsOf(a): the ServerStations serving the attempt;
+ *  - answer(a): the attempt's response left the server; the engine
+ *    checks there whether the request still waits for it.
+ *
+ * Each capture is {engine pointer, attempt record, up to two doubles}
+ * and must fit sim::InlineAction's inline storage.
+ */
+template <class Engine, class Attempt>
+void
+advanceCarried(Engine &e, const Attempt &a, double diskService,
+               double netMb, Stage done)
+{
+    switch (done) {
+      case Stage::Cpu:
+        if (diskService > 0.0) {
+            e.stationsOf(a).disk.submit(diskService, [ep = &e, a, netMb] {
+                advanceCarried(*ep, a, 0.0, netMb, Stage::Disk);
+            });
+            return;
+        }
+        [[fallthrough]];
+      case Stage::Disk:
+        if (netMb > 0.0) {
+            e.stationsOf(a).nic.submit(netMb, [ep = &e, a] {
+                advanceCarried(*ep, a, 0.0, 0.0, Stage::Net);
+            });
+            return;
+        }
+        [[fallthrough]];
+      case Stage::Net:
+        e.answer(a);
+        break;
+    }
+}
+
+/** Enter the carried pipeline: submit attempt @p a's CPU work, carrying
+ * the rest of @p w. */
+template <class Engine, class Attempt>
+void
+startCarried(Engine &e, const Attempt &a, const RequestWork &w)
+{
+    auto cpuDone = [ep = &e, a, disk = w.diskService, net = w.netMb] {
+        advanceCarried(*ep, a, disk, net, Stage::Cpu);
+    };
+    static_assert(sim::InlineAction::fitsInline<decltype(cpuDone)>,
+                  "attempt record too large for an inline continuation");
+    e.stationsOf(a).cpu.submit(w.cpuWork, std::move(cpuDone));
 }
 
 } // namespace perfsim

@@ -45,22 +45,18 @@ class Rng
     }
 
     /**
-     * Uniform double in [0, 1).
+     * Uniform double in [0, 1): canonical() of one engine draw.
      *
-     * Bit-equal to std::uniform_real_distribution<double>(0, 1) on the
-     * same engine, which under libstdc++ is canonical() of one draw.
-     * Spelled out inline because the library routine is an
-     * out-of-line loop with a long-double setup on every call. Other
-     * standard libraries keep the std:: distribution.
+     * Bit-equal to libstdc++'s std::uniform_real_distribution<double>
+     * (0, 1) on the same engine, spelled out inline because the
+     * library routine is an out-of-line loop with a long-double setup
+     * on every call. Written here, the draws are also the same under
+     * any other standard library.
      */
     double
     uniform()
     {
-#if defined(__GLIBCXX__)
         return canonical(engine());
-#else
-        return std::uniform_real_distribution<double>(0.0, 1.0)(engine);
-#endif
     }
 
     /** Uniform double in [lo, hi); the libstdc++ affine map of
@@ -68,11 +64,7 @@ class Rng
     double
     uniform(double lo, double hi)
     {
-#if defined(__GLIBCXX__)
         return uniform() * (hi - lo) + lo;
-#else
-        return std::uniform_real_distribution<double>(lo, hi)(engine);
-#endif
     }
 
     /** Uniform integer in [lo, hi] inclusive. */
@@ -88,11 +80,7 @@ class Rng
     double
     exponential(double mean)
     {
-#if defined(__GLIBCXX__)
         return -std::log(1.0 - uniform()) / (1.0 / mean);
-#else
-        return std::exponential_distribution<double>(1.0 / mean)(engine);
-#endif
     }
 
     /**
@@ -104,7 +92,6 @@ class Rng
     double
     normal(double mean, double stddev)
     {
-#if defined(__GLIBCXX__)
         double x, y, r2;
         do {
             x = 2.0 * uniform() - 1.0;
@@ -113,9 +100,6 @@ class Rng
         } while (r2 > 1.0 || r2 == 0.0);
         double mult = std::sqrt(-2 * std::log(r2) / r2);
         return y * mult * stddev + mean;
-#else
-        return std::normal_distribution<double>(mean, stddev)(engine);
-#endif
     }
 
     /** Lognormal draw parameterized by the underlying normal's
@@ -124,11 +108,7 @@ class Rng
     double
     lognormal(double mu, double sigma)
     {
-#if defined(__GLIBCXX__)
         return std::exp(sigma * normal(0.0, 1.0) + mu);
-#else
-        return std::lognormal_distribution<double>(mu, sigma)(engine);
-#endif
     }
 
     /** Bernoulli draw. */

@@ -73,13 +73,13 @@ Websearch::nextRequestBatch(BatchStream &s, ServiceDemand *out,
 
     // Pass 2: every term of every query, in query order: one
     // fast-engine uniform per term, tested against the cached-rank
-    // CDF (see nextRequest), so no table is touched.
-    coldBuf.resize(n);
+    // CDF (see nextRequest), so no table is touched. Cold terms add
+    // their posting lists straight into the demand.
     for (std::size_t i = 0; i < n; ++i) {
-        unsigned cold = 0;
+        out[i] = ServiceDemand{};
         for (unsigned k = 0; k < countIdx[i]; ++k)
-            cold += !termCachedFor(s.fast.uniform());
-        coldBuf[i] = cold;
+            if (!termCachedFor(s.fast.uniform()))
+                out[i].diskReadBytes += p.postingListBytes;
     }
 
     // Pass 3: CPU shaping multipliers (batched Box-Muller over the
@@ -87,15 +87,10 @@ Websearch::nextRequestBatch(BatchStream &s, ServiceDemand *out,
     shapeBuf.resize(n);
     batcher.drawLognormal(cpuShape, s.fast, shapeBuf.data(), n);
     for (std::size_t i = 0; i < n; ++i) {
-        unsigned keywords = countIdx[i];
-        ServiceDemand d;
         double work =
-            p.cpuWorkBase + p.cpuWorkPerTerm * double(keywords);
-        d.cpuWork = work * shapeBuf[i];
-        for (unsigned k = 0; k < coldBuf[i]; ++k)
-            d.diskReadBytes += p.postingListBytes;
-        d.netBytes = p.responseBytes;
-        out[i] = d;
+            p.cpuWorkBase + p.cpuWorkPerTerm * double(countIdx[i]);
+        out[i].cpuWork = work * shapeBuf[i];
+        out[i].netBytes = p.responseBytes;
     }
 }
 

@@ -103,7 +103,6 @@ class Websearch : public InteractiveWorkload
     // Batch-path scratch (sized on demand; reused across calls).
     sim::SampleBatcher batcher;
     std::vector<std::uint32_t> countIdx;
-    std::vector<unsigned> coldBuf;
     std::vector<double> shapeBuf;
 };
 
