@@ -114,19 +114,49 @@ buildZipfTables(std::uint64_t n, double s)
 constexpr std::uint64_t kSharedMaxRanks = std::uint64_t(1) << 18;
 
 /**
+ * The most recently built table of more than kSharedMaxRanks ranks.
+ * The memory-blade trace profiles (up to millions of ranks) are too
+ * large to keep one per (n, s) for the process, but a study that runs
+ * several policies over one profile constructs the same (n, s) back
+ * to back; this one slot builds it once for the run. A build for a
+ * different key first drops the slot, so at most one unused large
+ * table is ever alive and peak memory stays that of the live owners
+ * plus the table being built.
+ */
+std::shared_ptr<const ZipfDist::Tables>
+retainedLargeZipfTables(std::uint64_t n, double s)
+{
+    static std::mutex mu;
+    static std::pair<std::uint64_t, double> key; // guarded by mu
+    static std::shared_ptr<const ZipfDist::Tables> slot; // guarded by mu
+    std::shared_ptr<const ZipfDist::Tables> dropped;
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        if (slot && key == std::make_pair(n, s))
+            return slot;
+        dropped = std::move(slot);
+    }
+    dropped.reset(); // freed before the build, outside the lock
+    auto t = buildZipfTables(n, s);
+    std::lock_guard<std::mutex> lock(mu);
+    key = {n, s};
+    slot = t;
+    return t;
+}
+
+/**
  * The process-wide (n, s) -> tables cache. The interactive workloads
  * construct their generator per evaluated cell, so their tables are
- * built once and kept for the process. Larger tables (the memory-blade
- * trace profiles, up to millions of ranks, each built about once) are
- * built for their owner alone, so the cache never pins them. The build
- * runs under the lock, so concurrent first users of one pair build it
- * once.
+ * built once and kept for the process. Larger tables go through the
+ * single retained slot above instead, so the cache never pins them.
+ * The build runs under the lock, so concurrent first users of one
+ * pair build it once.
  */
 std::shared_ptr<const ZipfDist::Tables>
 sharedZipfTables(std::uint64_t n, double s)
 {
     if (n > kSharedMaxRanks)
-        return buildZipfTables(n, s);
+        return retainedLargeZipfTables(n, s);
     static std::mutex mu;
     static std::map<std::pair<std::uint64_t, double>,
                     std::shared_ptr<const ZipfDist::Tables>>

@@ -237,8 +237,11 @@ class GuideTable
  * 2^18 ranks are built once per process for each (n, s) and shared
  * read-only by every ZipfDist with those parameters, so the per-cell
  * workload instances the evaluators construct cost a lookup, not a
- * 10^5-entry rebuild; larger tables belong to their ZipfDist. Suitable
- * for the catalog sizes the workloads use (up to a few million items).
+ * 10^5-entry rebuild. Of larger tables only the most recently built
+ * one is kept, so constructing the same large (n, s) back to back
+ * builds it once while at most one unused large table stays alive.
+ * Suitable for the catalog sizes the workloads use (up to a few
+ * million items).
  */
 class ZipfDist final : public Distribution
 {

@@ -11,7 +11,9 @@
 
 #include <math.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 
@@ -20,7 +22,85 @@
 namespace wsc {
 
 /**
- * A seedable pseudo-random source wrapping std::mt19937_64 with the
+ * MT19937-64 (Matsumoto and Nishimura): the engine std::mt19937_64
+ * specifies, with the same seeding, twist and tempering, so every seed
+ * yields the same output sequence (tests pin it against libstdc++).
+ *
+ * Written out because libstdc++'s twist selects the matrix term with a
+ * branch on the low bit of each state word, which is a coin flip the
+ * predictor misses about half the time; here the term is masked in
+ * without a branch. A UniformRandomBitGenerator, so std::
+ * distributions can draw from it.
+ */
+class Mt19937_64
+{
+  public:
+    using result_type = std::uint64_t;
+
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type(0); }
+
+    explicit Mt19937_64(result_type seed)
+    {
+        x[0] = seed;
+        for (std::size_t i = 1; i < kN; ++i)
+            x[i] = 6364136223846793005ULL * (x[i - 1] ^ (x[i - 1] >> 62)) +
+                   i;
+    }
+
+    result_type
+    operator()()
+    {
+        if (p >= kN)
+            twist();
+        result_type z = x[p++];
+        z ^= (z >> 29) & 0x5555555555555555ULL;
+        z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+        z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+        return z ^ (z >> 43);
+    }
+
+    /** Same state, so the same outputs from here on. */
+    friend bool
+    operator==(const Mt19937_64 &a, const Mt19937_64 &b)
+    {
+        return a.p == b.p && std::equal(a.x, a.x + kN, b.x);
+    }
+
+  private:
+    static constexpr std::size_t kN = 312;
+    static constexpr std::size_t kM = 156;
+
+    /** One twisted state word from the upper bit of @p hi, the lower
+     * 31 bits of @p lo (the next word) and @p far, the word kM places
+     * ahead (mod kN). */
+    static result_type
+    mix(result_type hi, result_type lo, result_type far)
+    {
+        constexpr result_type upper = ~result_type(0) << 31;
+        result_type y = (hi & upper) | (lo & ~upper);
+        return far ^ (y >> 1) ^ ((0 - (y & 1)) & 0xB5026F5AA96619E9ULL);
+    }
+
+    /** Regenerate all kN words, in libstdc++'s order. */
+    void
+    twist()
+    {
+        std::size_t k = 0;
+        for (; k < kN - kM; ++k)
+            x[k] = mix(x[k], x[k + 1], x[k + kM]);
+        for (; k < kN - 1; ++k)
+            x[k] = mix(x[k], x[k + 1], x[k + kM - kN]);
+        x[kN - 1] = mix(x[kN - 1], x[0], x[kM - 1]);
+        p = 0;
+    }
+
+    result_type x[kN];
+    std::size_t p = kN;
+};
+
+/**
+ * A seedable pseudo-random source over MT19937-64 with the
  * convenience draws the simulators need.
  */
 class Rng
@@ -36,11 +116,18 @@ class Rng
      * libstdc++'s generate_canonical<double, 53> of one 64-bit draw:
      * double(bits) / 2^64 (a power-of-two scale, so exact), with a
      * result rounded up to 1 clamped to nextafter(1, 0).
+     *
+     * double(bits) is formed as double(hi32) * 2^32 + double(lo32):
+     * both terms are exact and the sum is rounded once, so it is the
+     * same correctly rounded value, without the branch on the top bit
+     * that converting an unsigned 64-bit integer compiles to on x86-64.
      */
     static double
     canonical(std::uint64_t bits)
     {
-        double u = double(bits) * 0x1.0p-64;
+        double whole = double(std::uint32_t(bits >> 32)) * 0x1.0p32 +
+                       double(std::uint32_t(bits));
+        double u = whole * 0x1.0p-64;
         return u < 1.0 ? u : 0x1.fffffffffffffp-1;
     }
 
@@ -156,10 +243,10 @@ class Rng
     std::uint64_t seed() const { return seed_; }
 
     /** Access the raw engine (for std:: distributions). */
-    std::mt19937_64 &raw() { return engine; }
+    Mt19937_64 &raw() { return engine; }
 
   private:
-    std::mt19937_64 engine;
+    Mt19937_64 engine;
     std::uint64_t seed_;
 };
 
@@ -167,7 +254,7 @@ class Rng
  * Counter-based splitmix64 generator for bulk uniform draws on
  * fast-mode paths (sim/fast_mode.hh): one add plus three shift-xor-
  * multiply rounds per draw, several times cheaper than the
- * mt19937_64-backed Rng, and statistically solid (it is the standard
+ * MT19937-64-backed Rng, and statistically solid (it is the standard
  * mixer used to seed xoshiro-family generators). State is a single
  * 64-bit counter, so a stream derived from a seed is trivially
  * reproducible and never aliases a differently-seeded stream.

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <map>
+#include <thread>
+#include <vector>
 
 #include "sim/distributions.hh"
 #include "util/logging.hh"
@@ -149,6 +152,108 @@ TEST(Zipf, InvalidArgsPanic)
 {
     EXPECT_THROW(ZipfDist(0, 1.0), PanicError);
     EXPECT_THROW(ZipfDist(10, 0.0), PanicError);
+}
+
+/** Zipf tables built serially from scratch: the reference the shared
+ * and retained tables must equal bit for bit. */
+struct ZipfReference {
+    std::vector<double> cdf;
+    std::vector<std::uint32_t> guide;
+    double mean = 0.0;
+
+    ZipfReference(std::uint64_t n, double s) : cdf(n), guide(n)
+    {
+        double acc = 0.0, mean_acc = 0.0;
+        for (std::uint64_t k = 1; k <= n; ++k) {
+            double p = std::pow(double(k), -s);
+            acc += p;
+            mean_acc += double(k) * p;
+            cdf[k - 1] = acc;
+        }
+        for (auto &c : cdf)
+            c /= acc;
+        cdf.back() = 1.0;
+        mean = mean_acc / acc;
+        std::size_t k = 0;
+        for (std::size_t b = 0; b < n; ++b) {
+            double edge = double(b) / double(n);
+            while (k < n && cdf[k] < edge)
+                ++k;
+            guide[b] = std::uint32_t(k);
+        }
+    }
+
+    /** True when @p d's tables are exactly these. */
+    bool
+    matches(const ZipfDist &d) const
+    {
+        const auto &got = d.cdfTable();
+        if (got.size() != cdf.size() ||
+            std::memcmp(got.data(), cdf.data(),
+                        cdf.size() * sizeof(double)) != 0)
+            return false;
+        for (std::size_t b = 0; b < guide.size(); ++b)
+            if (d.guideTable().startOf(b) != guide[b])
+                return false;
+        double m = d.mean();
+        return std::memcmp(&m, &mean, sizeof m) == 0;
+    }
+};
+
+TEST(Zipf, LargeTableRetainedForSameKey)
+{
+    const std::uint64_t large = (1ull << 18) + 1;
+
+    // Back-to-back constructions of one large key share one table.
+    {
+        ZipfDist a(large, 0.9);
+        ZipfDist b(large, 0.9);
+        EXPECT_EQ(a.cdfTable().data(), b.cdfTable().data());
+    }
+
+    // Shared and retained tables both equal a serial build.
+    const std::uint64_t sizes[] = {1000, large, 422400};
+    for (std::uint64_t n : sizes)
+        for (double s : {0.5, 0.9, 1.1}) {
+            ZipfReference ref(n, s);
+            EXPECT_TRUE(ref.matches(ZipfDist(n, s)))
+                << "n " << n << " s " << s;
+        }
+
+    // Building a different key drops the retained table but not a
+    // live owner's.
+    {
+        ZipfDist a(large, 0.9);
+        std::vector<double> before = a.cdfTable();
+        ZipfDist b(large + 2, 0.9);
+        EXPECT_NE(a.cdfTable().data(), b.cdfTable().data());
+        ASSERT_EQ(a.cdfTable().size(), before.size());
+        EXPECT_EQ(std::memcmp(a.cdfTable().data(), before.data(),
+                              before.size() * sizeof(double)),
+                  0);
+        EXPECT_TRUE(ZipfReference(large, 0.9).matches(a));
+    }
+
+    // Threads alternating two large keys race on the one slot; every
+    // table they get is still exact.
+    const ZipfReference refs[] = {ZipfReference(large, 0.9),
+                                  ZipfReference(large + 6, 1.1)};
+    const std::pair<std::uint64_t, double> keys[] = {{large, 0.9},
+                                                     {large + 6, 1.1}};
+    std::vector<int> exact(4, 0);
+    std::vector<std::thread> threads;
+    for (int w = 0; w < 4; ++w)
+        threads.emplace_back([&, w] {
+            for (int i = 0; i < 6; ++i) {
+                int which = (w + i) % 2;
+                ZipfDist d(keys[which].first, keys[which].second);
+                exact[w] += refs[which].matches(d);
+            }
+        });
+    for (auto &t : threads)
+        t.join();
+    for (int w = 0; w < 4; ++w)
+        EXPECT_EQ(exact[w], 6) << "thread " << w;
 }
 
 TEST(Empirical, FrequenciesMatchWeights)

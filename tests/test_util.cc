@@ -202,13 +202,14 @@ TEST(Rng, DrawsAreBitEqualToStdDistributions)
     GTEST_SKIP() << "Rng follows libstdc++'s distribution bodies";
 #endif
     // The inline draws must be the std:: distributions' exact values
-    // over a copy of the same engine, and leave it in the same state.
+    // over a std engine with the same seed, and leave both engines at
+    // the same point of the stream.
     // normal and lognormal build a fresh distribution per draw, as
     // Rng did, so no second polar variate carries over.
     const int n = 1 << 20;
     for (std::uint64_t seed : {1ull, 42ull, 0x5DEECE66Dull, ~0ull}) {
         Rng r(seed);
-        std::mt19937_64 ref = r.raw();
+        std::mt19937_64 ref(seed);
         std::uniform_real_distribution<double> unit(0.0, 1.0);
         for (int i = 0; i < n; ++i) {
             double got = r.uniform();
@@ -246,7 +247,55 @@ TEST(Rng, DrawsAreBitEqualToStdDistributions)
             ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0)
                 << "lognormal draw " << i << " seed " << seed;
         }
-        EXPECT_TRUE(r.raw() == ref) << "engine state diverged";
+        // Same position in the same stream: a full state's worth of
+        // raw outputs still agrees.
+        for (int i = 0; i < 312; ++i)
+            ASSERT_EQ(r.raw()(), ref()) << "raw draw " << i << " seed "
+                                        << seed << " after the draws";
+    }
+}
+
+TEST(Rng, EngineMatchesStdMt19937_64)
+{
+    // The in-house engine is the standard's MT19937-64: same seeding,
+    // twist and tempering, so the same outputs for every seed, across
+    // thousands of twists.
+    const int n = 1 << 20;
+    for (std::uint64_t seed :
+         {0ull, 1ull, 42ull, 5489ull, 0x5DEECE66Dull, ~0ull}) {
+        Rng r(seed);
+        std::mt19937_64 ref(seed);
+        for (int i = 0; i < n; ++i)
+            ASSERT_EQ(r.raw()(), ref()) << "draw " << i << " seed " << seed;
+
+        // A copy carries the whole state, mid-block included.
+        for (int i = 0; i < 100; ++i)
+            (void)r.raw()();
+        Rng copy = r;
+        EXPECT_TRUE(copy.raw() == r.raw());
+        for (int i = 0; i < 1000; ++i)
+            ASSERT_EQ(copy.raw()(), r.raw()()) << "copy draw " << i;
+        EXPECT_TRUE(copy.raw() == r.raw());
+        (void)copy.raw()();
+        EXPECT_FALSE(copy.raw() == r.raw());
+    }
+
+    // uniformInt is std::uniform_int_distribution over the engine, so
+    // it matches the same distribution over a std engine, including
+    // the rejection paths of ranges that do not divide 2^64.
+    const std::pair<std::uint64_t, std::uint64_t> ranges[] = {
+        {0, 0}, {3, 9}, {0, 1}, {0, 1023}, {5, 1000003},
+        {0, (1ull << 63) + 12345}, {1, ~0ull}, {0, ~0ull}};
+    for (std::uint64_t seed : {7ull, 0x5DEECE66Dull}) {
+        Rng r(seed);
+        std::mt19937_64 ref(seed);
+        for (auto [lo, hi] : ranges) {
+            std::uniform_int_distribution<std::uint64_t> dist(lo, hi);
+            for (int i = 0; i < 20000; ++i)
+                ASSERT_EQ(r.uniformInt(lo, hi), dist(ref))
+                    << "[" << lo << ", " << hi << "] draw " << i;
+        }
+        EXPECT_EQ(r.raw()(), ref());
     }
 }
 
@@ -271,12 +320,34 @@ TEST(Rng, CanonicalMatchesGenerateCanonicalAndClampsBelowOne)
         0ull, 1ull, 2047ull, 2048ull, 1ull << 52, 1ull << 63,
         (1ull << 63) + 1, ~0ull - 2048, ~0ull - 1024, ~0ull - 1023,
         ~0ull - 1, ~0ull};
-    for (std::uint64_t x : probes) {
+    // Round-half-even ties and near-ties that only the low 32 bits
+    // decide, since Rng::canonical converts the two halves apart and
+    // rounds their sum once.
+    const std::uint64_t ties[] = {
+        (1ull << 53) + 1, (1ull << 54) + 2, (1ull << 63) + (1ull << 10),
+        (1ull << 63) + (3ull << 10), (1ull << 63) + (1ull << 10) + 1,
+        (1ull << 32) - 1, 1ull << 32, (1ull << 32) + 1};
+    auto check = [](std::uint64_t x) {
         FixedBits stub{x};
         double want = std::generate_canonical<double, 53>(stub);
         double got = Rng::canonical(x);
         EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0) << "bits " << x;
         EXPECT_LT(got, 1.0) << "bits " << x;
+    };
+    for (std::uint64_t x : probes)
+        check(x);
+    for (std::uint64_t x : ties)
+        check(x);
+
+    // Random bit patterns, which mostly set the top bit or leave
+    // more than 53 significant bits to round.
+    std::mt19937_64 patterns(99);
+    for (int i = 0; i < (1 << 20); ++i) {
+        std::uint64_t x = patterns();
+        FixedBits stub{x};
+        double want = std::generate_canonical<double, 53>(stub);
+        double got = Rng::canonical(x);
+        ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0) << "bits " << x;
     }
 }
 

@@ -152,6 +152,12 @@ main(int argc, char **argv)
             return std::size_t(v);
         };
 
+        // Checked once up front: the synthetic replays size local
+        // memory from it, and NaN fails every comparison.
+        double local = args.getDouble("local");
+        if (!(local > 0.0 && local <= 1.0))
+            fatal("--local must be in (0, 1]");
+
         HierarchyParams hp;
         bool hierarchical = !args.get("hierarchy").empty();
         if (hierarchical) {
@@ -224,8 +230,7 @@ main(int argc, char **argv)
             }
             if (hierarchical) {
                 hp.l1Frames = std::size_t(std::ceil(
-                    double(profile.footprintPages) *
-                    args.getDouble("local")));
+                    double(profile.footprintPages) * local));
                 auto hs =
                     replayHierarchyProfile(profile, hp, n, seed);
                 printHierarchy(hs, hp);
@@ -252,8 +257,7 @@ main(int argc, char **argv)
                 c.print(std::cout);
                 return 0;
             }
-            stats = replayProfile(profile, args.getDouble("local"),
-                                  policy, n, seed);
+            stats = replayProfile(profile, local, policy, n, seed);
             touch_rate = profile.touchesPerSecond;
             label = profile.name;
         }
