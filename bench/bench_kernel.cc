@@ -190,7 +190,12 @@ BM_ZipfSample(benchmark::State &state)
         benchmark::DoNotOptimize(zipf.sampleRank(rng));
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ZipfSample)->Arg(1000)->Arg(100000)->Arg(1000000);
+// 4,800,000 ranks: the ytube-io cold table of the flash-cache sweep.
+BENCHMARK(BM_ZipfSample)
+    ->Arg(1000)
+    ->Arg(100000)
+    ->Arg(1000000)
+    ->Arg(4800000);
 
 void
 BM_ReplacementReplay(benchmark::State &state)

@@ -1,5 +1,7 @@
 #include "flashcache/storage.hh"
 
+#include <exception>
+#include <future>
 #include <map>
 #include <mutex>
 
@@ -55,32 +57,45 @@ StorageOption::all()
 
 namespace {
 
-/** Steady-state flash hit rate per benchmark (replayed once, cached). */
+/**
+ * Steady-state flash hit rate per benchmark, replayed once per
+ * (benchmark, capacity) for the process. DesignEvaluator's pool
+ * workers ask concurrently: the first caller of a key replays, and
+ * every other caller of that key waits for its value.
+ */
 double
 flashHitRateFor(workloads::Benchmark b, const FlashSpec &spec)
 {
-    // Called from DesignEvaluator's pool workers: the cache needs a
-    // lock, and keying on capacity keeps distinct specs distinct.
     static std::mutex mutex;
-    static std::map<std::pair<workloads::Benchmark, double>, double>
-        cache;
+    static std::map<std::pair<workloads::Benchmark, double>,
+                    std::shared_future<double>>
+        cache; // guarded by mutex
     auto key = std::make_pair(b, spec.capacityGB);
 
+    std::promise<double> replay;
+    std::shared_future<double> rate;
+    bool mine = false;
     {
         std::lock_guard<std::mutex> lock(mutex);
-        auto it = cache.find(key);
-        if (it != cache.end())
-            return it->second;
+        auto [it, inserted] = cache.try_emplace(key);
+        if (inserted)
+            it->second = replay.get_future().share();
+        rate = it->second;
+        mine = inserted;
     }
+    if (!mine)
+        return rate.get(); // waits, outside the lock, while it replays
     // 2M post-page-cache accesses: enough to warm a 262144-block
     // cache and measure a stable second-half hit rate. Replayed
-    // outside the lock; a racing duplicate replay computes the same
-    // deterministic value.
-    auto outcome = evaluateFlashCache(b, spec, 2000000,
-                                      /* bytes/s */ 5.0e6, 777);
-    std::lock_guard<std::mutex> lock(mutex);
-    cache.emplace(key, outcome.hitRate);
-    return outcome.hitRate;
+    // outside the lock, so other keys proceed meanwhile.
+    try {
+        replay.set_value(evaluateFlashCache(b, spec, 2000000,
+                                            /* bytes/s */ 5.0e6, 777)
+                             .hitRate);
+    } catch (...) {
+        replay.set_exception(std::current_exception());
+    }
+    return rate.get();
 }
 
 } // namespace

@@ -32,6 +32,10 @@ constexpr std::uint64_t kWriteBit = std::uint64_t(1) << 63;
 /** Writer flush threshold and reader batch size, in records. */
 constexpr std::size_t kIoBatch = 1 << 16;
 
+/** Granule (bytes, page-aligned) the reader releases consumed
+ * mapping in. */
+constexpr std::size_t kReleaseBytes = std::size_t(1) << 20;
+
 void
 encodeHeader(unsigned char *h, std::uint8_t flags, std::uint64_t count,
              std::uint64_t pageBound)
@@ -231,10 +235,27 @@ void
 TraceStream::rewind()
 {
     consumed = 0;
+    released = 0;
     if (!base) {
         is.clear();
         is.seekg(std::streamoff(kHeaderSize));
     }
+}
+
+void
+TraceStream::releaseConsumed()
+{
+#if WSC_HAVE_MMAP && defined(MADV_DONTNEED)
+    // A read-only private file mapping re-faults dropped pages from
+    // the file, so a later rewind reads the same bytes.
+    std::size_t done = kHeaderSize + std::size_t(consumed) * stride();
+    std::size_t upTo = done / kReleaseBytes * kReleaseBytes;
+    if (upTo > released) {
+        ::madvise(const_cast<unsigned char *>(base) + released,
+                  upTo - released, MADV_DONTNEED);
+        released = upTo;
+    }
+#endif
 }
 
 void
@@ -287,6 +308,8 @@ TraceStream::fillPages(PageId *out, std::size_t maxN)
               " breaks the header page bound " +
               std::to_string(info_.pageBound));
     consumed += n;
+    if (base)
+        releaseConsumed();
     return n;
 }
 
@@ -331,6 +354,8 @@ TraceStream::fillRecords(TraceRecord *out, std::size_t maxN)
               " breaks the header page bound " +
               std::to_string(info_.pageBound));
     consumed += n;
+    if (base)
+        releaseConsumed();
     return n;
 }
 
@@ -380,7 +405,8 @@ readTraceStreamPages(const std::string &path)
     std::vector<PageId> out(std::size_t(ts.count()));
     std::size_t done = 0;
     while (done < out.size())
-        done += ts.fillPages(out.data() + done, out.size() - done);
+        done += ts.fillPages(out.data() + done,
+                             std::min(kIoBatch, out.size() - done));
     return out;
 }
 

@@ -30,7 +30,10 @@
  * trace (satellite: trace_io.cc replayTrace O(n) bound pass).
  *
  * The reader mmaps the file read-only (MADV_SEQUENTIAL) and serves
- * batches straight out of the mapping; when mmap is unavailable (or
+ * batches straight out of the mapping, releasing each fully consumed
+ * MB of it after a fill (MADV_DONTNEED), so a pass keeps about 1 MB
+ * of the file resident however long the trace; a rewound pass
+ * re-faults the same bytes from the file. When mmap is unavailable (or
  * the platform lacks it) it falls back to buffered ifstream reads of
  * the same batch size. Both paths validate the header against the
  * actual file size before touching a record, so a corrupt count can
@@ -156,7 +159,7 @@ class TraceStream
     /** Decode up to @p maxN full records. */
     std::size_t fillRecords(TraceRecord *out, std::size_t maxN);
 
-    /** Restart from the first record. */
+    /** Restart from the first record (released pages re-fault). */
     void rewind();
 
     /** True when the reader serves batches from an mmap'd view. */
@@ -166,6 +169,8 @@ class TraceStream
     std::size_t stride() const { return info_.hasTimestamps ? 16 : 8; }
     /** Raw bytes of records [consumed, consumed + n) into @p dst. */
     void fetchWords(std::uint64_t *dst, std::size_t n);
+    /** Drop the mapping's fully consumed MBs from the resident set. */
+    void releaseConsumed();
 
     std::string path_;
     TraceStreamInfo info_;
@@ -174,6 +179,7 @@ class TraceStream
     // mmap path
     const unsigned char *base = nullptr; //!< whole-file mapping
     std::size_t mapLen = 0;
+    std::size_t released = 0; //!< mapping bytes [0, released) dropped
 
     // ifstream fallback
     std::ifstream is;
@@ -194,7 +200,8 @@ void writeTraceStream(const std::string &path,
                       const std::vector<PageId> &trace);
 
 /** Materialize every page id of a streaming file (tests, small
- * conversions; defeats the point for multi-GB traces). */
+ * conversions; defeats the point for multi-GB traces). Fills in
+ * bounded chunks, so the mapping is released as the output grows. */
 std::vector<PageId> readTraceStreamPages(const std::string &path);
 
 /**

@@ -67,37 +67,18 @@ drawIndicesWith(const GuideTable &guide, const std::vector<double> &cdf,
     }
 }
 
+/**
+ * Zipf ranks resolve through ZipfDist::rankForUniform, the scalar
+ * path's own inversion over its lazily filled table, one uniform per
+ * draw in draw order.
+ */
 template <typename Engine>
 void
 drawZipfRanksWith(const ZipfDist &dist, Engine &rng, std::uint64_t *out,
-                  std::size_t n, std::size_t block,
-                  std::vector<double> &u, std::vector<std::uint32_t> &at)
+                  std::size_t n)
 {
-    const GuideTable &guide = dist.guideTable();
-    const std::vector<double> &cdf = dist.cdfTable();
-    u.resize(block);
-    at.resize(block);
-    while (n > 0) {
-        std::size_t m = n < block ? n : block;
-        for (std::size_t i = 0; i < m; ++i) {
-            u[i] = rng.uniform();
-            std::size_t b = guide.bucketOf(u[i]);
-            at[i] = std::uint32_t(b);
-            prefetchRead(guide.cellPtr(b));
-        }
-        for (std::size_t i = 0; i < m; ++i) {
-            std::uint32_t k = guide.startOf(at[i]);
-            at[i] = k;
-            prefetchRead(&cdf[k]);
-        }
-        // Rank = index + 1, exactly as ZipfDist::rankForUniform.
-        for (std::size_t i = 0; i < m; ++i)
-            out[i] = std::uint64_t(
-                         guide.resolveFrom(cdf, u[i], at[i])) +
-                     1;
-        out += m;
-        n -= m;
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = dist.rankForUniform(rng.uniform());
 }
 
 } // namespace
@@ -121,7 +102,7 @@ void
 SampleBatcher::drawZipfRanks(const ZipfDist &dist, Rng &rng,
                              std::uint64_t *out, std::size_t n)
 {
-    drawZipfRanksWith(dist, rng, out, n, block, u, at);
+    drawZipfRanksWith(dist, rng, out, n);
 }
 
 void
@@ -145,7 +126,7 @@ void
 SampleBatcher::drawZipfRanks(const ZipfDist &dist, SplitMix64 &rng,
                              std::uint64_t *out, std::size_t n)
 {
-    drawZipfRanksWith(dist, rng, out, n, block, u, at);
+    drawZipfRanksWith(dist, rng, out, n);
 }
 
 void

@@ -2,9 +2,8 @@
  * @file
  * Batched, cache-resident guide-table sampling.
  *
- * Scalar guide-table inversion (ZipfDist::sampleRank,
- * EmpiricalDist::sampleIndex) pays two *dependent* memory accesses per
- * draw: the guide cell at a uniformly distributed bucket, then the CDF
+ * Scalar guide-table inversion (EmpiricalDist::sampleIndex) pays two
+ * *dependent* memory accesses per draw: the guide cell at a uniformly distributed bucket, then the CDF
  * line the cell points at. Over multi-MB tables both miss, and the
  * dependency chain serializes them — EXPERIMENTS.md measured this at
  * ~34% of closed-loop runtime.
@@ -28,7 +27,8 @@
  * which is the relaxation fast mode's statistical-equivalence gate
  * covers. Fast mode's other relaxation is where the drivers *source*
  * the stream (a dedicated split consumed in blocks); see
- * sim/fast_mode.hh.
+ * sim/fast_mode.hh. Zipf ranks resolve one by one through
+ * ZipfDist::rankForUniform, whose lazily filled table is private.
  *
  * The bucket/index loops are simple enough for the compiler to
  * auto-vectorize; the wins are dominated by the memory-level
@@ -59,8 +59,11 @@ class SampleBatcher
 
     /**
      * Draw @p n Zipf ranks into @p out. Consumes exactly n uniforms
-     * from @p rng in draw order: the output sequence is bit-identical
-     * to n scalar dist.sampleRank(rng) calls from the same Rng state.
+     * from @p rng in draw order and resolves each with
+     * ZipfDist::rankForUniform (the table layout is private to
+     * ZipfDist, so there is nothing to prefetch ahead): the output
+     * sequence is bit-identical to n scalar dist.sampleRank(rng)
+     * calls from the same Rng state.
      */
     void drawZipfRanks(const ZipfDist &dist, Rng &rng,
                        std::uint64_t *out, std::size_t n);

@@ -2,10 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <mutex>
+#include <new>
 
 #include "util/logging.hh"
+
+#if defined(__unix__) || defined(__APPLE__)
+#define WSC_HAVE_MMAP 1
+#include <sys/mman.h>
+#endif
 
 namespace wsc {
 namespace sim {
@@ -69,16 +76,23 @@ BoundedParetoDist::mean() const
 }
 
 GuideTable::GuideTable(const std::vector<double> &cdf)
+    : GuideTable(cdf, cdf.size())
+{
+}
+
+GuideTable::GuideTable(const std::vector<double> &cdf,
+                       std::size_t buckets)
 {
     WSC_ASSERT(!cdf.empty(), "guide table over empty cdf");
     WSC_ASSERT(cdf.size() <= std::uint32_t(-1),
                "cdf too large for guide table");
-    // Two-pointer merge: guide[b] = first index with cdf[idx] >= b/n.
+    WSC_ASSERT(buckets >= 1, "guide table needs a bucket");
+    // Two-pointer merge: guide[b] = first index with cdf[idx] >= b/m.
     std::size_t n = cdf.size();
-    guide.resize(n);
+    guide.resize(buckets);
     std::size_t k = 0;
-    for (std::size_t b = 0; b < n; ++b) {
-        double edge = double(b) / double(n);
+    for (std::size_t b = 0; b < buckets; ++b) {
+        double edge = double(b) / double(buckets);
         while (k < n && cdf[k] < edge)
             ++k;
         guide[b] = std::uint32_t(k);
@@ -87,110 +101,249 @@ GuideTable::GuideTable(const std::vector<double> &cdf)
 
 namespace {
 
-/** Build the tables of a Zipf over ranks 1..n with exponent s. */
-std::shared_ptr<const ZipfDist::Tables>
-buildZipfTables(std::uint64_t n, double s)
+/** Largest table (ranks) the process-wide cache keeps. */
+constexpr std::uint64_t kSharedMaxRanks = std::uint64_t(1) << 18;
+
+/** Ranks of block b of a table over @p n ranks. */
+std::size_t
+blockLength(std::uint64_t n, std::size_t b)
 {
-    auto t = std::make_shared<ZipfDist::Tables>();
-    t->cdf.resize(n);
+    std::uint64_t first = std::uint64_t(b) * ZipfDist::kBlockRanks;
+    return std::size_t(std::min<std::uint64_t>(ZipfDist::kBlockRanks,
+                                               n - first));
+}
+
+/**
+ * Anonymous private pages: the kernel backs them with the zero page
+ * until first written, so only the blocks a table fills become
+ * resident, and unmapping returns them at once. (A heap chunk can be
+ * recycled memory that calloc zeroes, and so faults, up front; and a
+ * table released into the heap can stay resident after it dies.)
+ */
+void *
+mapZeroPages(std::size_t bytes)
+{
+#if WSC_HAVE_MMAP
+    void *p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED)
+        throw std::bad_alloc();
+    return p;
+#else
+    return new unsigned char[bytes]; // default-initialised: untouched
+#endif
+}
+
+void
+unmapZeroPages(void *p, std::size_t bytes)
+{
+#if WSC_HAVE_MMAP
+    ::munmap(p, bytes);
+#else
+    (void)bytes;
+    delete[] static_cast<unsigned char *>(p);
+#endif
+}
+
+} // namespace
+
+ZipfDist::Table::Table(std::shared_ptr<const Skeleton> skeleton)
+    : sk(std::move(skeleton)),
+      state(new std::atomic<std::uint8_t>[sk->blockEnd.size()]())
+{
+    // Mapped after everything that can throw, so ~Table owns it.
+    std::size_t blocks = sk->blockEnd.size();
+    std::size_t cdfBytes = blocks * kBlockRanks * sizeof(double);
+    mapBytes = cdfBytes + blocks * kBlockRanks * sizeof(std::uint16_t);
+    map = mapZeroPages(mapBytes);
+    cdfs = static_cast<double *>(map);
+    hints = reinterpret_cast<std::uint16_t *>(
+        static_cast<unsigned char *>(map) + cdfBytes);
+}
+
+ZipfDist::Table::~Table()
+{
+    unmapZeroPages(map, mapBytes);
+}
+
+std::uint8_t
+ZipfDist::Table::fill(std::size_t b) const
+{
+    std::lock_guard<std::mutex> lock(fillMu);
+    std::uint8_t kind = state[b].load(std::memory_order_relaxed);
+    if (kind != kEmpty)
+        return kind;
+    // The serial build's loop, resumed at the block's first rank: the
+    // same additions in the same order give the same running sums, and
+    // the same division by the same norm the same CDF entries.
+    double *c = cdfs + b * kBlockRanks;
+    std::size_t len = blockLength(sk->n, b);
+    std::uint64_t first = std::uint64_t(b) * kBlockRanks + 1;
+    double acc = b ? sk->blockSum[b - 1] : 0.0;
+    for (std::size_t i = 0; i < len; ++i) {
+        acc += std::pow(double(first + i), -sk->s);
+        c[i] = acc / sk->norm;
+    }
+    if (b + 1 == sk->blockEnd.size())
+        c[len - 1] = 1.0; // the serial build's FP-drift guard
+
+    // hint[h] = first in-block index whose bucket (indexFor's map of
+    // its CDF value) reaches h, capped at the block's last entry: the
+    // bucket map is monotone, so it is a lower bound for every u in
+    // bucket h and the shortest walk start.
+    double lo = b ? sk->blockEnd[b - 1] : 0.0;
+    std::uint16_t hint[kBlockRanks];
+    std::size_t slack = 0;
+    std::size_t k = 0;
+    for (std::size_t h = 0; h < kBlockRanks; ++h) {
+        while (k + 1 < len) {
+            auto at = std::size_t((c[k] - lo) * sk->bucketScale[b]);
+            if (at >= h)
+                break;
+            ++k;
+        }
+        hint[h] = std::uint16_t(k);
+        slack = std::max(slack, h > k ? h - k : k - h);
+    }
+    kind = len == kBlockRanks && slack <= kLinearSlack ? kLinear : kHinted;
+    if (kind == kHinted)
+        std::memcpy(hints + b * kBlockRanks, hint, sizeof hint);
+    state[b].store(kind, std::memory_order_release);
+    return kind;
+}
+
+/**
+ * The serial build's loop, keeping the running sum only at block ends.
+ */
+ZipfDist::Skeleton::Skeleton(std::uint64_t n, double s) : n(n), s(s)
+{
+    constexpr std::size_t B = kBlockRanks;
+    std::size_t blocks = std::size_t((n + B - 1) / B);
+    blockSum.resize(blocks);
     double acc = 0.0;
     double mean_acc = 0.0;
     for (std::uint64_t k = 1; k <= n; ++k) {
         double p = std::pow(double(k), -s);
         acc += p;
         mean_acc += double(k) * p;
-        t->cdf[k - 1] = acc;
+        if (k % B == 0 || k == n)
+            blockSum[std::size_t((k - 1) / B)] = acc;
     }
-    double norm = acc;
-    for (auto &c : t->cdf)
-        c /= norm;
-    t->cdf.back() = 1.0; // guard FP drift
-    t->mean = mean_acc / norm;
-    t->guide = GuideTable(t->cdf);
-    return t;
+    norm = acc;
+    mean = mean_acc / acc;
+    blockEnd.resize(blocks);
+    for (std::size_t b = 0; b < blocks; ++b)
+        blockEnd[b] = blockSum[b] / acc;
+    blockEnd.back() = 1.0; // guard FP drift
+    blockGuide = GuideTable(blockEnd, kGuidePerBlock * blocks);
+    bucketScale.resize(blocks);
+    for (std::size_t b = 0; b < blocks; ++b) {
+        double width = blockEnd[b] - (b ? blockEnd[b - 1] : 0.0);
+        double scale = width > 0.0 ? double(B) / width : 0.0;
+        bucketScale[b] = std::isfinite(scale) ? scale : 0.0;
+    }
 }
 
-/** Largest table (ranks) the process-wide cache keeps: 3 MB. */
-constexpr std::uint64_t kSharedMaxRanks = std::uint64_t(1) << 18;
+/**
+ * The process-wide (n, s) -> skeleton cache: 56 bytes per 512 ranks
+ * a key, so every key is kept. Each key builds under its own lock, so
+ * first users of one key build it once without stalling other keys.
+ */
+std::shared_ptr<const ZipfDist::Skeleton>
+ZipfDist::skeletonFor(std::uint64_t n, double s)
+{
+    struct Slot {
+        std::mutex mu;
+        std::shared_ptr<const Skeleton> skeleton;
+    };
+    static std::mutex mu;
+    static std::map<std::pair<std::uint64_t, double>,
+                    std::shared_ptr<Slot>>
+        slots; // guarded by mu
+    std::shared_ptr<Slot> slot;
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        auto &p = slots[{n, s}];
+        if (!p)
+            p = std::make_shared<Slot>();
+        slot = p;
+    }
+    std::lock_guard<std::mutex> lock(slot->mu);
+    if (!slot->skeleton)
+        slot->skeleton = std::make_shared<const Skeleton>(n, s);
+    return slot->skeleton;
+}
 
 /**
- * The most recently built table of more than kSharedMaxRanks ranks.
- * The memory-blade trace profiles (up to millions of ranks) are too
- * large to keep one per (n, s) for the process, but a study that runs
- * several policies over one profile constructs the same (n, s) back
- * to back; this one slot builds it once for the run. A build for a
- * different key first drops the slot, so at most one unused large
- * table is ever alive and peak memory stays that of the live owners
- * plus the table being built.
+ * Tables of up to kSharedMaxRanks ranks are kept per (n, s) for the
+ * process: the interactive workloads construct their generator per
+ * evaluated cell. Of larger tables (the memory-blade and flash-cache
+ * trace profiles, up to millions of ranks) one slot keeps the most
+ * recently constructed, keyed by (n, s): a study that runs several
+ * policies over one profile constructs the same key back to back and
+ * reuses the blocks already filled. A different key first drops the
+ * slot (freed outside the lock), so at most one unused large table is
+ * ever alive.
  */
-std::shared_ptr<const ZipfDist::Tables>
-retainedLargeZipfTables(std::uint64_t n, double s)
+std::shared_ptr<const ZipfDist::Table>
+ZipfDist::tableFor(std::uint64_t n, double s)
 {
+    if (n <= kSharedMaxRanks) {
+        static std::mutex mu;
+        static std::map<std::pair<std::uint64_t, double>,
+                        std::shared_ptr<const Table>>
+            cache; // guarded by mu
+        std::lock_guard<std::mutex> lock(mu);
+        auto &slot = cache[{n, s}];
+        if (!slot)
+            slot = std::make_shared<const Table>(skeletonFor(n, s));
+        return slot;
+    }
     static std::mutex mu;
     static std::pair<std::uint64_t, double> key; // guarded by mu
-    static std::shared_ptr<const ZipfDist::Tables> slot; // guarded by mu
-    std::shared_ptr<const ZipfDist::Tables> dropped;
+    static std::shared_ptr<const Table> slot;    // guarded by mu
+    std::shared_ptr<const Table> dropped;
     {
         std::lock_guard<std::mutex> lock(mu);
         if (slot && key == std::make_pair(n, s))
             return slot;
         dropped = std::move(slot);
     }
-    dropped.reset(); // freed before the build, outside the lock
-    auto t = buildZipfTables(n, s);
+    dropped.reset(); // unmapped before the new table, outside the lock
+    auto t = std::make_shared<const Table>(skeletonFor(n, s));
     std::lock_guard<std::mutex> lock(mu);
     key = {n, s};
     slot = t;
     return t;
 }
 
-/**
- * The process-wide (n, s) -> tables cache. The interactive workloads
- * construct their generator per evaluated cell, so their tables are
- * built once and kept for the process. Larger tables go through the
- * single retained slot above instead, so the cache never pins them.
- * The build runs under the lock, so concurrent first users of one
- * pair build it once.
- */
-std::shared_ptr<const ZipfDist::Tables>
-sharedZipfTables(std::uint64_t n, double s)
-{
-    if (n > kSharedMaxRanks)
-        return retainedLargeZipfTables(n, s);
-    static std::mutex mu;
-    static std::map<std::pair<std::uint64_t, double>,
-                    std::shared_ptr<const ZipfDist::Tables>>
-        cache;
-    std::lock_guard<std::mutex> lock(mu);
-    auto &slot = cache[{n, s}];
-    if (!slot)
-        slot = buildZipfTables(n, s);
-    return slot;
-}
-
-} // namespace
-
 ZipfDist::ZipfDist(std::uint64_t n, double s)
     : Distribution(DistKind::Zipf), n(n), s(s)
 {
     WSC_ASSERT(n >= 1, "zipf needs at least one rank");
     WSC_ASSERT(s > 0.0, "zipf exponent must be positive");
-    t = sharedZipfTables(n, s);
+    t = tableFor(n, s);
+}
+
+double
+ZipfDist::mean() const
+{
+    return t->mean();
 }
 
 double
 ZipfDist::cdfAt(std::uint64_t k) const
 {
     WSC_ASSERT(k >= 1, "zipf cdf rank out of range: " << k);
-    return t->cdf[(k < n ? k : n) - 1];
+    return t->cdf((k < n ? k : n) - 1);
 }
 
 double
 ZipfDist::pmf(std::uint64_t k) const
 {
     WSC_ASSERT(k >= 1 && k <= n, "zipf pmf rank out of range: " << k);
-    double prev = (k == 1) ? 0.0 : t->cdf[k - 2];
-    return t->cdf[k - 1] - prev;
+    double prev = (k == 1) ? 0.0 : t->cdf(k - 2);
+    return t->cdf(k - 1) - prev;
 }
 
 EmpiricalDist::EmpiricalDist(std::vector<double> values_in,

@@ -21,8 +21,10 @@
 #ifndef WSC_SIM_DISTRIBUTIONS_HH
 #define WSC_SIM_DISTRIBUTIONS_HH
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "util/random.hh"
@@ -179,7 +181,10 @@ class GuideTable
     /** Build over @p cdf (nondecreasing, back() == 1.0). */
     explicit GuideTable(const std::vector<double> &cdf);
 
-    /** Number of guide buckets (== CDF entries it was built over). */
+    /** Build with @p buckets buckets instead of one per entry. */
+    GuideTable(const std::vector<double> &cdf, std::size_t buckets);
+
+    /** Number of guide buckets. */
     std::size_t size() const { return guide.size(); }
 
     /** Bucket index for @p u in [0, 1). */
@@ -232,20 +237,27 @@ class GuideTable
  * Zipf distribution over ranks 1..n with exponent s:
  * P(rank = k) proportional to 1/k^s.
  *
- * Sampling uses an explicit inverse-CDF table accelerated by a guide
- * table (see GuideTable), expected O(1) per draw. Tables of up to
- * 2^18 ranks are built once per process for each (n, s) and shared
- * read-only by every ZipfDist with those parameters, so the per-cell
- * workload instances the evaluators construct cost a lookup, not a
- * 10^5-entry rebuild. Of larger tables only the most recently built
- * one is kept, so constructing the same large (n, s) back to back
- * builds it once while at most one unused large table stays alive.
+ * Sampling inverts an explicit CDF table, expected O(1) per draw. The
+ * table is filled lazily in blocks of kBlockRanks ranks from a
+ * process-wide skeleton of (n, s) (the running sum at every block
+ * end, the norm and the mean), so a block is computed and made
+ * resident only when a draw, cdfAt or pmf first reaches it; every
+ * value is bit-identical to a serial build of the whole table (see
+ * DESIGN.md). Tables of up to 2^18 ranks are kept once per process
+ * for each (n, s) and shared by every ZipfDist with those parameters,
+ * so the per-cell workload instances the evaluators construct cost a
+ * lookup. Of larger tables only the most recently constructed one is
+ * kept, so constructing the same large (n, s) back to back reuses its
+ * filled blocks while at most one unused large table stays alive.
  * Suitable for the catalog sizes the workloads use (up to a few
  * million items).
  */
 class ZipfDist final : public Distribution
 {
   public:
+    /** Ranks per lazily filled table block (one 4 KB page of CDF). */
+    static constexpr std::size_t kBlockRanks = 512;
+
     /**
      * @param n Number of ranks (>= 1).
      * @param s Exponent (> 0); s around 0.8-1.0 matches web traces.
@@ -266,12 +278,11 @@ class ZipfDist final : public Distribution
         return rankForUniform(rng.uniform());
     }
 
-    /** Rank the uniform @p u inverts to (shared scalar/batched). */
-    std::uint64_t
-    rankForUniform(double u) const
-    {
-        return std::uint64_t(t->guide.indexFor(t->cdf, u)) + 1;
-    }
+    /**
+     * Rank the uniform @p u in [0, 1) inverts to: one plus the first
+     * index whose CDF entry reaches u (shared scalar/batched).
+     */
+    std::uint64_t rankForUniform(double u) const;
 
     /**
      * P(rank <= k) as the sampler sees it, for k >= 1: a uniform u
@@ -282,31 +293,142 @@ class ZipfDist final : public Distribution
      */
     double cdfAt(std::uint64_t k) const;
 
-    double mean() const override { return t->mean; }
+    double mean() const override;
 
     /** Probability of exactly rank k. */
     double pmf(std::uint64_t k) const;
 
     std::uint64_t size() const { return n; }
 
-    /** Inversion tables, exposed for the batched sampler. */
-    const GuideTable &guideTable() const { return t->guide; }
-    const std::vector<double> &cdfTable() const { return t->cdf; }
-
-    /** The read-only inversion tables of one (n, s) pair. */
-    struct Tables {
-        /** cdf[i] = P(rank <= i+1). */
-        std::vector<double> cdf;
-        /** O(1) indexed inversion over cdf (see GuideTable). */
-        GuideTable guide;
-        double mean = 0.0;
-    };
+    /** True when both draw from one shared table. */
+    bool sharesTableWith(const ZipfDist &o) const { return t == o.t; }
 
   private:
+    struct Skeleton;
+    class Table;
+
+    static std::shared_ptr<const Skeleton> skeletonFor(std::uint64_t n,
+                                                       double s);
+    static std::shared_ptr<const Table> tableFor(std::uint64_t n,
+                                                 double s);
+
     std::uint64_t n;
     double s;
-    std::shared_ptr<const Tables> t;
+    std::shared_ptr<const Table> t;
 };
+
+/**
+ * What one (n, s) needs before any CDF entry exists, built once per
+ * process by the serial loop: the unnormalised running sum at each
+ * block end (a block's fill continues from its predecessor's), the
+ * block-end CDF values with a guide over them, and the norm and mean.
+ */
+struct ZipfDist::Skeleton {
+    /** Block-guide buckets per block: enough that a draw's bucket
+     * rarely holds a block end, so the guide walk rarely steps. */
+    static constexpr std::size_t kGuidePerBlock = 8;
+
+    Skeleton(std::uint64_t n, double s);
+
+    std::uint64_t n;
+    double s;
+    /** Running sum of k^-s through the last rank of each block. */
+    std::vector<double> blockSum;
+    /** CDF at each block's last rank; back() == 1.0. */
+    std::vector<double> blockEnd;
+    /** Indexed inversion over blockEnd (first block reaching u),
+     * kGuidePerBlock buckets per block. */
+    GuideTable blockGuide;
+    /** kBlockRanks / (blockEnd[b] - blockEnd[b-1]): maps u - the
+     * block's start to its in-block bucket (0 for an empty block). */
+    std::vector<double> bucketScale;
+    double norm = 0.0;
+    double mean = 0.0;
+};
+
+/**
+ * The lazily filled inversion table of one (n, s). Storage for the
+ * whole CDF and the per-block hints is reserved up front but written
+ * (and so made resident) a block at a time, by one filler per block
+ * under the table's lock; the block's state byte publishes it with
+ * release/acquire, so concurrent readers share one table.
+ *
+ * A draw finds its block through the skeleton's guide over block
+ * ends, maps u to one of kBlockRanks equal-width buckets of the
+ * block's CDF range, and walks from a start index to the first entry
+ * with cdf >= u. A block whose CDF is close to linear (every tail
+ * block) starts at the bucket number itself; a curved head block
+ * keeps a hint per bucket. The walk goes back as well as forward, so
+ * any start inside the block gives the exact index.
+ */
+class ZipfDist::Table
+{
+  public:
+    explicit Table(std::shared_ptr<const Skeleton> skeleton);
+    ~Table();
+    Table(const Table &) = delete;
+    Table &operator=(const Table &) = delete;
+
+    /** First index with cdf[i] >= u, for u in [0, 1). */
+    std::size_t
+    indexFor(double u) const
+    {
+        std::size_t b = sk->blockGuide.indexFor(sk->blockEnd, u);
+        std::uint8_t kind = state[b].load(std::memory_order_acquire);
+        if (kind == kEmpty)
+            kind = fill(b);
+        const double *c = cdfs + b * kBlockRanks;
+        double lo = b ? sk->blockEnd[b - 1] : 0.0;
+        auto h = std::size_t((u - lo) * sk->bucketScale[b]);
+        if (h >= kBlockRanks)
+            h = kBlockRanks - 1;
+        std::size_t k = kind == kHinted ? hints[b * kBlockRanks + h] : h;
+        while (k > 0 && c[k - 1] >= u)
+            --k;
+        while (c[k] < u)
+            ++k;
+        return b * kBlockRanks + k;
+    }
+
+    /** cdf[i] = P(rank <= i+1). */
+    double
+    cdf(std::uint64_t i) const
+    {
+        auto b = std::size_t(i / kBlockRanks);
+        if (state[b].load(std::memory_order_acquire) == kEmpty)
+            fill(b);
+        return cdfs[i];
+    }
+
+    double mean() const { return sk->mean; }
+
+  private:
+    /** Block states. A linear block's in-block bucket number is within
+     * kLinearSlack entries of its hint everywhere, so it stores none. */
+    static constexpr std::uint8_t kEmpty = 0, kHinted = 1, kLinear = 2;
+    static constexpr std::size_t kLinearSlack = 2;
+
+    /** Fill block b (once) and return its state. */
+    std::uint8_t fill(std::size_t b) const;
+
+    std::shared_ptr<const Skeleton> sk;
+    /** One anonymous mapping holding cdfs, then hints. */
+    void *map = nullptr;
+    std::size_t mapBytes = 0;
+    /** n entries rounded up to whole blocks (page-aligned blocks);
+     * only filled blocks are ever written. */
+    double *cdfs = nullptr;
+    /** kBlockRanks in-block start indices per hinted block. */
+    std::uint16_t *hints = nullptr;
+    std::unique_ptr<std::atomic<std::uint8_t>[]> state;
+    mutable std::mutex fillMu;
+};
+
+inline std::uint64_t
+ZipfDist::rankForUniform(double u) const
+{
+    return std::uint64_t(t->indexFor(u)) + 1;
+}
 
 /**
  * Empirical discrete distribution over (value, weight) pairs.

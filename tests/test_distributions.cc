@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <map>
 #include <thread>
 #include <vector>
@@ -154,14 +156,20 @@ TEST(Zipf, InvalidArgsPanic)
     EXPECT_THROW(ZipfDist(10, 0.0), PanicError);
 }
 
-/** Zipf tables built serially from scratch: the reference the shared
- * and retained tables must equal bit for bit. */
+/** Bitwise equality of two doubles. */
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/** Zipf tables built serially from scratch: the reference the shared,
+ * retained and lazily filled tables must equal bit for bit. */
 struct ZipfReference {
     std::vector<double> cdf;
-    std::vector<std::uint32_t> guide;
     double mean = 0.0;
 
-    ZipfReference(std::uint64_t n, double s) : cdf(n), guide(n)
+    ZipfReference(std::uint64_t n, double s) : cdf(n)
     {
         double acc = 0.0, mean_acc = 0.0;
         for (std::uint64_t k = 1; k <= n; ++k) {
@@ -174,29 +182,50 @@ struct ZipfReference {
             c /= acc;
         cdf.back() = 1.0;
         mean = mean_acc / acc;
-        std::size_t k = 0;
-        for (std::size_t b = 0; b < n; ++b) {
-            double edge = double(b) / double(n);
-            while (k < n && cdf[k] < edge)
-                ++k;
-            guide[b] = std::uint32_t(k);
-        }
     }
 
-    /** True when @p d's tables are exactly these. */
+    /** The rank a uniform inverts to: first index with cdf >= u. */
+    std::uint64_t
+    rankFor(double u) const
+    {
+        return std::uint64_t(std::lower_bound(cdf.begin(), cdf.end(), u) -
+                             cdf.begin()) +
+               1;
+    }
+
+    /** True when every rank's cdfAt and the mean are these bits. */
+    bool
+    cdfMatches(const ZipfDist &d) const
+    {
+        if (d.size() != cdf.size() || !sameBits(d.mean(), mean))
+            return false;
+        for (std::uint64_t k = 1; k <= cdf.size(); ++k)
+            if (!sameBits(d.cdfAt(k), cdf[k - 1]))
+                return false;
+        return true;
+    }
+
+    /**
+     * True when @p d's table is exactly this one: cdfMatches, and the
+     * inversion agrees at every guide-bucket edge b / n and both its
+     * neighbours, the values a per-rank guide table over this CDF is
+     * built from.
+     */
     bool
     matches(const ZipfDist &d) const
     {
-        const auto &got = d.cdfTable();
-        if (got.size() != cdf.size() ||
-            std::memcmp(got.data(), cdf.data(),
-                        cdf.size() * sizeof(double)) != 0)
+        if (!cdfMatches(d))
             return false;
-        for (std::size_t b = 0; b < guide.size(); ++b)
-            if (d.guideTable().startOf(b) != guide[b])
-                return false;
-        double m = d.mean();
-        return std::memcmp(&m, &mean, sizeof m) == 0;
+        const double n = double(cdf.size());
+        for (std::size_t b = 0; b < cdf.size(); ++b) {
+            double edge = double(b) / n;
+            for (double u : {std::nextafter(edge, -1.0), edge,
+                             std::nextafter(edge, 2.0)})
+                if (u >= 0.0 && u < 1.0 &&
+                    d.rankForUniform(u) != rankFor(u))
+                    return false;
+        }
+        return true;
     }
 };
 
@@ -208,7 +237,7 @@ TEST(Zipf, LargeTableRetainedForSameKey)
     {
         ZipfDist a(large, 0.9);
         ZipfDist b(large, 0.9);
-        EXPECT_EQ(a.cdfTable().data(), b.cdfTable().data());
+        EXPECT_TRUE(a.sharesTableWith(b));
     }
 
     // Shared and retained tables both equal a serial build.
@@ -224,13 +253,15 @@ TEST(Zipf, LargeTableRetainedForSameKey)
     // live owner's.
     {
         ZipfDist a(large, 0.9);
-        std::vector<double> before = a.cdfTable();
+        std::vector<double> before(large);
+        for (std::uint64_t k = 1; k <= large; ++k)
+            before[k - 1] = a.cdfAt(k);
         ZipfDist b(large + 2, 0.9);
-        EXPECT_NE(a.cdfTable().data(), b.cdfTable().data());
-        ASSERT_EQ(a.cdfTable().size(), before.size());
-        EXPECT_EQ(std::memcmp(a.cdfTable().data(), before.data(),
-                              before.size() * sizeof(double)),
-                  0);
+        EXPECT_FALSE(a.sharesTableWith(b));
+        bool unchanged = true;
+        for (std::uint64_t k = 1; k <= large; ++k)
+            unchanged = unchanged && sameBits(a.cdfAt(k), before[k - 1]);
+        EXPECT_TRUE(unchanged);
         EXPECT_TRUE(ZipfReference(large, 0.9).matches(a));
     }
 
@@ -254,6 +285,72 @@ TEST(Zipf, LargeTableRetainedForSameKey)
         t.join();
     for (int w = 0; w < 4; ++w)
         EXPECT_EQ(exact[w], 6) << "thread " << w;
+}
+
+TEST(Zipf, LazyBlocksMatchSerialBuild)
+{
+    const std::uint64_t sizes[] = {1,    511,  512,
+                                   513,  1025, (1ull << 18) + 1,
+                                   4800000};
+    for (std::uint64_t n : sizes)
+        for (double s : {0.5, 0.9, 1.1}) {
+            SCOPED_TRACE("n " + std::to_string(n) + " s " +
+                         std::to_string(s));
+            ZipfReference ref(n, s);
+            ZipfDist d(n, s);
+
+            // Draws first, so blocks fill through the inversion path:
+            // random uniforms, both ends of [0, 1), and every block's
+            // last CDF entry with its neighbours.
+            Rng rng(n * 31 + std::uint64_t(s * 10));
+            std::uint64_t mismatches = 0;
+            for (int i = 0; i < (1 << 20); ++i) {
+                double u = rng.uniform();
+                mismatches += d.rankForUniform(u) != ref.rankFor(u);
+            }
+            std::vector<double> edges = {0.0, std::nextafter(1.0, 0.0)};
+            for (std::uint64_t i = ZipfDist::kBlockRanks - 1; i < n;
+                 i += ZipfDist::kBlockRanks)
+                edges.push_back(ref.cdf[i]);
+            edges.push_back(ref.cdf[n - 1]);
+            for (double e : edges)
+                for (double u : {std::nextafter(e, 0.0), e,
+                                 std::nextafter(e, 2.0)})
+                    if (u >= 0.0 && u < 1.0)
+                        mismatches +=
+                            d.rankForUniform(u) != ref.rankFor(u);
+            EXPECT_EQ(mismatches, 0u);
+
+            // Then every rank's cdfAt and pmf, and the mean.
+            EXPECT_TRUE(ref.cdfMatches(d));
+            std::uint64_t pmfMismatches = 0;
+            for (std::uint64_t k = 1; k <= n; ++k) {
+                double p = ref.cdf[k - 1] - (k == 1 ? 0.0 : ref.cdf[k - 2]);
+                pmfMismatches += !sameBits(d.pmf(k), p);
+            }
+            EXPECT_EQ(pmfMismatches, 0u);
+        }
+
+    // Four threads drawing from one fresh shared table (a key no other
+    // test builds) race to fill its blocks and get the serial ranks.
+    const std::uint64_t n = 200003;
+    const double s = 0.85;
+    ZipfReference ref(n, s);
+    std::vector<std::uint64_t> mismatches(4, 0);
+    std::vector<std::thread> threads;
+    for (int w = 0; w < 4; ++w)
+        threads.emplace_back([&, w] {
+            ZipfDist d(n, s);
+            Rng rng(100 + w);
+            for (int i = 0; i < (1 << 18); ++i) {
+                double u = rng.uniform();
+                mismatches[w] += d.rankForUniform(u) != ref.rankFor(u);
+            }
+        });
+    for (auto &t : threads)
+        t.join();
+    for (int w = 0; w < 4; ++w)
+        EXPECT_EQ(mismatches[w], 0u) << "thread " << w;
 }
 
 TEST(Empirical, FrequenciesMatchWeights)

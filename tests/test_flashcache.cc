@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "flashcache/devices.hh"
 #include "flashcache/flash_cache.hh"
 #include "flashcache/io_trace.hh"
@@ -236,6 +239,26 @@ TEST(Storage, FlashOptionsCarryHitRate)
     EXPECT_GT(opts.flashCacheHitRate, 0.5);
     EXPECT_LT(opts.flashCacheHitRate, 1.0);
     EXPECT_DOUBLE_EQ(opts.flashReadMBs, 50.0);
+}
+
+// Pool workers ask for one key at once: the first replays, the rest
+// wait for its value, so every caller reads the same hit rate.
+TEST(Storage, ConcurrentCallersShareOneFlashReplay)
+{
+    const auto option = StorageOption::remoteLaptopFlash();
+    const auto b = workloads::Benchmark::Webmail;
+    std::vector<double> rates(4, -1.0);
+    std::vector<std::thread> threads;
+    for (std::size_t w = 0; w < rates.size(); ++w)
+        threads.emplace_back([&, w] {
+            rates[w] = perfOptionsFor(option, b).flashCacheHitRate;
+        });
+    for (auto &t : threads)
+        t.join();
+    double again = perfOptionsFor(option, b).flashCacheHitRate;
+    EXPECT_GT(again, 0.0);
+    for (double r : rates)
+        EXPECT_EQ(r, again);
 }
 
 TEST(Storage, CostApplicationReplacesDiskAddsFlash)

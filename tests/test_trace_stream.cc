@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -205,6 +206,73 @@ TEST(TraceStream, RewindRestartsTheRecordStream)
         got += ts.fillPages(second.data() + got, 4096);
     EXPECT_EQ(first, trace);
     EXPECT_EQ(second, trace);
+}
+
+// The mapped reader releases consumed MBs of its mapping as it goes;
+// a rewound pass re-faults them from the file. A trace of several MB
+// consumed to the end twice, on the pages and the records paths, must
+// read the same both times and equal the buffered reader.
+TEST(TraceStream, RewoundPassAfterReleaseReadsTheSameRecords)
+{
+    ScopedPath f("/tmp/wsc_ts_release.strace");
+    auto trace = sampleTrace(600000); // 9.6 MB with timestamps
+    {
+        TraceStreamWriter w(f.path, /*withTimestamps=*/true);
+        for (std::size_t i = 0; i < trace.size(); ++i)
+            w.append(trace[i], i % 5 == 0, i * 3 + 1);
+    }
+
+    auto readPages = [](TraceStream &ts) {
+        std::vector<PageId> out(ts.remaining());
+        std::size_t done = 0;
+        while (done < out.size())
+            done += ts.fillPages(out.data() + done,
+                                 std::min<std::size_t>(100003,
+                                                       out.size() - done));
+        EXPECT_EQ(ts.fillPages(out.data(), 1), 0u);
+        return out;
+    };
+    auto readRecords = [](TraceStream &ts) {
+        std::vector<TraceRecord> out(ts.remaining());
+        std::size_t done = 0;
+        while (done < out.size())
+            done += ts.fillRecords(out.data() + done,
+                                   std::min<std::size_t>(
+                                       70001, out.size() - done));
+        EXPECT_EQ(ts.fillRecords(out.data(), 1), 0u);
+        return out;
+    };
+    auto sameRecords = [](const std::vector<TraceRecord> &a,
+                          const std::vector<TraceRecord> &b) {
+        if (a.size() != b.size())
+            return false;
+        for (std::size_t i = 0; i < a.size(); ++i)
+            if (a[i].page != b[i].page || a[i].write != b[i].write ||
+                a[i].timestamp != b[i].timestamp)
+                return false;
+        return true;
+    };
+
+    TraceStream buffered(f.path, /*forceBuffered=*/true);
+    auto refRecords = readRecords(buffered);
+    buffered.rewind();
+    auto refPages = readPages(buffered);
+    EXPECT_EQ(refPages, trace);
+
+    TraceStream mapped(f.path);
+    ASSERT_TRUE(mapped.mapped());
+    auto pages1 = readPages(mapped);
+    mapped.rewind();
+    auto pages2 = readPages(mapped);
+    EXPECT_EQ(pages1, refPages);
+    EXPECT_EQ(pages2, refPages);
+
+    mapped.rewind();
+    auto records1 = readRecords(mapped);
+    mapped.rewind();
+    auto records2 = readRecords(mapped);
+    EXPECT_TRUE(sameRecords(records1, refRecords));
+    EXPECT_TRUE(sameRecords(records2, refRecords));
 }
 
 TEST(TraceStream, UsesMmapOnThisPlatform)
