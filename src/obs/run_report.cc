@@ -263,10 +263,6 @@ toJson(const SweepReport &report, const ReportOptions &opts)
     w.key("tool").value(report.tool);
     w.key("base_seed").value(report.baseSeed);
     w.key("threads").value(report.threads);
-    // Omitted when empty: exact-mode reports keep their pre-fast-mode
-    // byte layout.
-    if (!report.fastMode.empty())
-        w.key("fast_mode").value(report.fastMode);
 
     w.key("cells");
     w.beginArray();

@@ -220,13 +220,6 @@ struct SweepReport {
     std::string tool;
     std::uint64_t baseSeed = 0;
     std::uint64_t threads = 0;
-    /**
-     * Fast-mode contract version string ("fast-mode/1") when the sweep
-     * ran with --fast-mode; empty — and the "fast_mode" JSON field
-     * omitted — for exact runs, keeping exact-mode reports
-     * byte-identical to pre-fast-mode output.
-     */
-    std::string fastMode;
     std::vector<CellReport> cells;
     /** Availability evaluations (empty without --faults; the "avail"
      * JSON section is omitted when empty so zero-fault reports are

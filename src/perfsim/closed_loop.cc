@@ -27,7 +27,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "perfsim/fast_demand.hh"
 #include "perfsim/request_pipeline.hh"
 #include "stats/percentile.hh"
 #include "util/logging.hh"
@@ -81,12 +80,6 @@ struct DriverState {
     std::uint64_t retries = 0;
     std::uint64_t giveups = 0;
     std::uint64_t lateCompletions = 0;
-    /** Fast mode: batched demands off a dedicated stream (inert when
-     * disabled, leaving the exact path's draw sequence untouched). */
-    FastDemandSource fastDemands;
-    // Latency retention for the statistical-equivalence gate.
-    bool collectSamples = false;
-    std::vector<double> latencySamples;
 
     explicit DriverState(const StationConfig &st) : server(eq, st) {}
 
@@ -96,8 +89,6 @@ struct DriverState {
     {
         ++epochCompleted;
         epochLatencies.add(latency);
-        if (collectSamples)
-            latencySamples.push_back(latency);
         // Strict QoS boundary: latency == limit violates.
         if (latency >= qosLimit)
             ++epochViolations;
@@ -145,15 +136,12 @@ clientLoop(DriverState &s)
 void
 beginRequest(DriverState &s)
 {
-    // Exact mode: RNG draw order matches the oracle exactly —
-    // nextRequest, then the conditional cache-hit bernoulli. Fast
-    // mode swaps only the demand source; think times and the
-    // bernoulli still come from the main engine in the same order.
+    // RNG draw order matches the oracle exactly: nextRequest, then
+    // the conditional cache-hit bernoulli.
     RequestHandle h = s.arena.acquire();
     Request &r = s.arena.get(h);
     r.issued = s.eq.now();
-    r.work = requestWork(s.fastDemands.demand(*s.workload, *s.rng), *s.st,
-                         *s.rng);
+    r.work = requestWork(s.workload->nextRequest(*s.rng), *s.st, *s.rng);
 
     if (s.requestTimeout <= 0.0) {
         // Classic driver: the handle is always live when a stage
@@ -268,8 +256,6 @@ runClosedLoop(workloads::InteractiveWorkload &workload,
     s.requestTimeout = params.requestTimeoutSeconds;
     s.maxRetries = params.maxRetries;
     s.retryBackoff = params.retryBackoffSeconds;
-    s.fastDemands.configure(params.fastMode, rng);
-    s.collectSamples = params.collectLatencySamples;
     s.arena.reserve(std::min<std::size_t>(params.initialClients, 4096));
     s.eq.reserve(std::min<std::size_t>(2 * params.initialClients, 8192));
 
@@ -343,7 +329,6 @@ runClosedLoop(workloads::InteractiveWorkload &workload,
     result.giveups = s.giveups;
     result.lateCompletions = s.lateCompletions;
     result.kernel = s.eq.counters();
-    result.latencySamples = std::move(s.latencySamples);
     return result;
 }
 

@@ -20,7 +20,6 @@
 #define WSC_PERFSIM_CLOSED_LOOP_HH
 
 #include "perfsim/server_sim.hh"
-#include "sim/fast_mode.hh"
 
 namespace wsc {
 namespace perfsim {
@@ -45,22 +44,6 @@ struct ClosedLoopParams {
     double requestTimeoutSeconds = 0.0;
     unsigned maxRetries = 2;
     double retryBackoffSeconds = 0.1; //!< first backoff; doubles after
-
-    /**
-     * Versioned fast mode (sim/fast_mode.hh). Off by default; when
-     * enabled, runClosedLoop sources demands from a dedicated stream
-     * in batched blocks, trading the bit-identity oracle for the
-     * statistical-equivalence gate. runClosedLoopOracle ignores this
-     * (the oracle is exact-mode-only by definition).
-     */
-    sim::FastModeConfig fastMode;
-    /**
-     * Retain every completed request's latency in
-     * ClosedLoopResult::latencySamples — the raw material for the KS
-     * half of the equivalence gate. Off by default (it is the one
-     * per-request allocation the hot path otherwise avoids).
-     */
-    bool collectLatencySamples = false;
 };
 
 /** Outcome of an adaptive run. */
@@ -85,12 +68,6 @@ struct ClosedLoopResult {
     std::uint64_t lateCompletions = 0; //!< answered after abandonment
     /** DES kernel activity for the whole run. */
     sim::EventQueue::Counters kernel;
-    /**
-     * Every completed request's latency across the whole run, in
-     * completion order; populated only when
-     * ClosedLoopParams::collectLatencySamples is set.
-     */
-    std::vector<double> latencySamples;
 };
 
 /**

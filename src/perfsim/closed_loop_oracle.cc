@@ -58,11 +58,6 @@ struct OracleState {
     std::uint64_t retries = 0;
     std::uint64_t giveups = 0;
     std::uint64_t lateCompletions = 0;
-    // Latency retention for the statistical-equivalence gate. The
-    // oracle ignores ClosedLoopParams::fastMode entirely: it is the
-    // exact-mode reference by definition.
-    bool collectSamples = false;
-    std::vector<double> latencySamples;
 };
 
 /** Per-request retry state (timeout-enabled path only). */
@@ -110,8 +105,6 @@ clientLoop(OracleState &s, double think_mean)
                 double latency = s.eq.now() - issued;
                 ++s.epochCompleted;
                 s.epochLatencies.add(latency);
-                if (s.collectSamples)
-                    s.latencySamples.push_back(latency);
                 // Strict QoS boundary: latency == limit violates.
                 if (latency >= s.qosLimit)
                     ++s.epochViolations;
@@ -155,8 +148,6 @@ clientLoop(OracleState &s, double think_mean)
                 double latency = s.eq.now() - issued;
                 ++s.epochCompleted;
                 s.epochLatencies.add(latency);
-                if (s.collectSamples)
-                    s.latencySamples.push_back(latency);
                 if (latency >= s.qosLimit)
                     ++s.epochViolations;
                 clientLoop(s, think_mean);
@@ -231,7 +222,6 @@ runClosedLoopOracle(workloads::InteractiveWorkload &workload,
     s.requestTimeout = params.requestTimeoutSeconds;
     s.maxRetries = params.maxRetries;
     s.retryBackoff = params.retryBackoffSeconds;
-    s.collectSamples = params.collectLatencySamples;
 
     auto spawn_to_target = [&] {
         while (s.liveClients < s.targetClients) {
@@ -298,7 +288,6 @@ runClosedLoopOracle(workloads::InteractiveWorkload &workload,
     result.giveups = s.giveups;
     result.lateCompletions = s.lateCompletions;
     result.kernel = s.eq.counters();
-    result.latencySamples = std::move(s.latencySamples);
     return result;
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "perfsim/fast_demand.hh"
 #include "perfsim/request_pipeline.hh"
 #include "perfsim/throughput.hh"
 #include "stats/percentile.hh"
@@ -73,7 +72,6 @@ struct ClusterSim {
     std::size_t inFlight = 0;
     bool aborted = false;
     unsigned rrNext = 0;
-    FastDemandSource fastDemands;
 
     ClusterSim(workloads::InteractiveWorkload &workload,
                const StationConfig &st, unsigned servers,
@@ -88,7 +86,6 @@ struct ClusterSim {
         for (unsigned i = 0; i < servers; ++i)
             nodes.push_back(std::make_unique<ServerStations>(
                 eq, st, servers == 1 ? "" : std::to_string(i)));
-        fastDemands.configure(window.fastMode, rng);
     }
 
     std::uint32_t
@@ -159,8 +156,7 @@ clusterLaunch(ClusterSim &s, double arrival, bool measured)
     RequestHandle h = s.arena.acquire();
     ClusterRequest &r = s.arena.get(h);
     r.arrival = arrival;
-    r.work = requestWork(s.fastDemands.demand(s.workload, s.rng), s.st,
-                         s.rng);
+    r.work = requestWork(s.workload.nextRequest(s.rng), s.st, s.rng);
     r.nodeIdx = nodeIdx;
     r.measured = measured;
     startStages(s, h);

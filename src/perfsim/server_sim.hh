@@ -24,7 +24,6 @@
 
 #include "platform/server_config.hh"
 #include "sim/event_queue.hh"
-#include "sim/fast_mode.hh"
 #include "sim/resources.hh"
 #include "stats/percentile.hh"
 #include "stats/summary.hh"
@@ -103,17 +102,6 @@ struct SimWindow {
      * kernel hot path unaffected.
      */
     sim::EventQueue::Tracer tracer;
-    /**
-     * Versioned fast mode (sim/fast_mode.hh). Off by default, leaving
-     * every run bit-identical to the seed behaviour. When enabled, the
-     * open-loop engine (simulateInteractive and simulateCluster)
-     * sources demands from a dedicated batched stream; results are
-     * statistically equivalent (gated by stats/equivalence.hh) but
-     * not bit-identical. Rides inside SearchParams, so it reaches the
-     * throughput search and the wsc_eval sweeps without further
-     * plumbing.
-     */
-    sim::FastModeConfig fastMode;
 };
 
 /**

@@ -128,10 +128,6 @@ class LognormalDist final : public Distribution
     double sample(Rng &rng) override { return sampleImpl(rng); }
     double mean() const override { return mean_; }
 
-    /** Underlying normal's parameters (for same-law batch draws). */
-    double muParam() const { return mu; }
-    double sigmaParam() const { return sigma; }
-
   private:
     double mean_, mu, sigma;
 };
@@ -165,13 +161,6 @@ class BoundedParetoDist final : public Distribution
  * reproduces std::lower_bound exactly (first index with cdf[i] >= u)
  * for every u, so samplers built on it are bit-identical to the seed's
  * O(log n) search while dropping its cache-missing probes.
- *
- * The lookup is exposed in pieces — bucketOf / startOf / resolveFrom —
- * so the batched sampler (sim/batch_sampler.hh) can interleave the two
- * dependent memory accesses across a block of draws with software
- * prefetch. indexFor() composes exactly those pieces; scalar and
- * batched paths therefore share one resolution routine and cannot
- * drift.
  */
 class GuideTable
 {
@@ -187,45 +176,25 @@ class GuideTable
     /** Number of guide buckets. */
     std::size_t size() const { return guide.size(); }
 
-    /** Bucket index for @p u in [0, 1). */
+    /**
+     * First index with cdf[i] >= u, for u in [0, 1). The bucket start
+     * is a lower bound for the bucket's real edge, but FP rounding of
+     * u * n can land u one bucket high; the backward walk restores
+     * exactness (it is almost never taken). The forward walk covers
+     * the bucket's entries.
+     */
     std::size_t
-    bucketOf(double u) const
+    indexFor(const std::vector<double> &cdf, double u) const
     {
         std::size_t b = std::size_t(u * double(guide.size()));
         if (b >= guide.size()) // FP guard: u*n can round up to n
             b = guide.size() - 1;
-        return b;
-    }
-
-    /** First CDF index the bucket can resolve to (its scan start). */
-    std::uint32_t startOf(std::size_t b) const { return guide[b]; }
-
-    /** Address of a guide cell, for software prefetch. */
-    const std::uint32_t *cellPtr(std::size_t b) const { return &guide[b]; }
-
-    /**
-     * Finish the lookup from scan start @p k: first index with
-     * cdf[i] >= u. The bucket start is a lower bound for the bucket's
-     * real edge, but FP rounding of u * n can land u one bucket high;
-     * the backward walk restores exactness (it is almost never taken).
-     * The forward walk covers the bucket's entries.
-     */
-    std::size_t
-    resolveFrom(const std::vector<double> &cdf, double u,
-                std::size_t k) const
-    {
+        std::size_t k = guide[b];
         while (k > 0 && cdf[k - 1] >= u)
             --k;
         while (cdf[k] < u)
             ++k;
         return k;
-    }
-
-    /** First index with cdf[i] >= u, for u in [0, 1). */
-    std::size_t
-    indexFor(const std::vector<double> &cdf, double u) const
-    {
-        return resolveFrom(cdf, u, startOf(bucketOf(u)));
     }
 
   private:
@@ -272,15 +241,14 @@ class ZipfDist final : public Distribution
     std::uint64_t
     sampleRank(Rng &rng)
     {
-        // Same single uniform draw as the seed's lower_bound search;
-        // rankForUniform is the shared resolution used by the batched
-        // path too, so every rank ever drawn is unchanged.
+        // Same single uniform draw as the seed's lower_bound search,
+        // so every rank ever drawn is unchanged.
         return rankForUniform(rng.uniform());
     }
 
     /**
      * Rank the uniform @p u in [0, 1) inverts to: one plus the first
-     * index whose CDF entry reaches u (shared scalar/batched).
+     * index whose CDF entry reaches u.
      */
     std::uint64_t rankForUniform(double u) const;
 
@@ -450,28 +418,14 @@ class EmpiricalDist final : public Distribution
     std::size_t
     sampleIndex(Rng &rng)
     {
-        // Single uniform draw; indexForUniform matches lower_bound
-        // bit-exactly and is shared with the batched path.
-        return indexForUniform(rng.uniform());
-    }
-
-    /** Index the uniform @p u inverts to (shared scalar/batched). */
-    std::size_t
-    indexForUniform(double u) const
-    {
-        return guide.indexFor(cdf, u);
+        // Single uniform draw; the guide table matches lower_bound
+        // bit-exactly.
+        return guide.indexFor(cdf, rng.uniform());
     }
 
     double mean() const override { return mean_; }
 
-    /** Outcome value at @p i (for batched index draws). */
-    double valueAt(std::size_t i) const { return values[i]; }
-
     std::size_t size() const { return values.size(); }
-
-    /** Inversion tables, exposed for the batched sampler. */
-    const GuideTable &guideTable() const { return guide; }
-    const std::vector<double> &cdfTable() const { return cdf; }
 
   private:
     std::vector<double> values;

@@ -2,46 +2,23 @@
  * @file
  * The versioned fast-mode execution contract.
  *
- * Exact mode (the default, and the only mode CI's bit-identity gates
+ * Exact mode (the default, and the only mode the bit-identity gates
  * run in) pins everything: the RNG draw sequence, the event schedule,
- * and the floating-point accumulation order. That contract is what
- * made the PR-5 rebuild verifiable — and what caps its speedup, since
- * even reordering two independent draws changes the bits.
+ * and the floating-point accumulation order. Even reordering two
+ * independent draws changes the bits, which caps how much an exact
+ * engine can be restructured for speed.
  *
- * Fast mode trades that bit-identity for *statistical* equivalence,
- * verified by the stats/equivalence gate (two-sample KS on latency and
- * service-time distributions, CI-overlap on throughput and percentile
- * metrics across seeds). What fast mode is allowed to change and what
- * it must preserve is a declared, versioned contract (DESIGN.md "Fast
- * mode"):
+ * A fast mode trades that bit-identity for *statistical* equivalence,
+ * verified by a gate built on stats/equivalence.hh. What it may change
+ * and what it must preserve is a declared, versioned contract (DESIGN.md
+ * "Fast mode"); a run that used it stamps contractVersion() into its
+ * JSON report, and exact-mode reports omit the field entirely. Bump
+ * kVersion whenever the set of relaxations changes.
  *
- * Pinned (fast mode MUST preserve):
- *  - every sampled quantity's distribution, exactly (the batched
- *    samplers resolve the same inverse-CDF tables through the same
- *    shared routine as the scalar path);
- *  - the queueing/event model: stations, service demands' semantics,
- *    QoS accounting;
- *  - per-seed determinism: the same seed always reproduces the same
- *    fast-mode run bit for bit.
- *
- * Relaxed (fast mode MAY change):
- *  - the global RNG draw order — demand draws move to a dedicated
- *    stream (Rng::stream) consumed in blocks, so they interleave
- *    differently with think-time/arrival draws;
- *  - draw interleaving across requests — a block of requests' demands
- *    is generated structure-of-arrays (all keyword counts, then all
- *    term ranks, then all work multipliers) instead of per request;
- *  - the uniform generator behind bulk guide-table draws — the batch
- *    path inverts the same tables over SplitMix64 uniforms
- *    (util/random.hh), same law on the 53-bit grid as Rng::uniform
- *    but different bit patterns, several times cheaper per draw;
- *  - FP accumulation order inside demand assembly (sums over batched
- *    draws may associate differently than the scalar chain).
- *
- * Any run that used fast mode stamps contractVersion() into its JSON
- * report; exact-mode reports omit the field entirely and stay
- * byte-identical to pre-fast-mode output. Bump kVersion whenever the
- * set of relaxations changes.
+ * One contract is live: fast-mode/2, the ensemble DES's macro-event
+ * arrival coalescing (EnsembleFastConfig below). Version 1, batched
+ * demand draws for the request engines, was retired once exact demand
+ * draws became as cheap as its batches; its number is not reused.
  */
 
 #ifndef WSC_SIM_FAST_MODE_HH
@@ -51,30 +28,6 @@
 
 namespace wsc {
 namespace sim {
-
-/** Fast-mode switch and knobs, threaded through the simulators. */
-struct FastModeConfig {
-    /** Off by default: exact mode, bit-identical to the oracle. */
-    bool enabled = false;
-
-    /**
-     * Requests whose demands are generated per batched refill. Larger
-     * blocks amortize the per-block virtual call and deepen the
-     * prefetch pipeline; the block must stay small enough that its
-     * SoA scratch stays cache-resident (256 requests ~ a few KB).
-     */
-    unsigned demandBlock = 256;
-
-    /** Contract revision; bump when the relaxation set changes. */
-    static constexpr unsigned kVersion = 1;
-
-    /** Version string stamped into JSON reports of fast-mode runs. */
-    static std::string
-    contractVersion()
-    {
-        return "fast-mode/" + std::to_string(kVersion);
-    }
-};
 
 /**
  * The "fast-mode/2" contract: macro-event arrival coalescing for the

@@ -12,9 +12,10 @@
  *    (sustained throughput, p95 at best): across N independent seeds,
  *    do the exact and fast estimates agree within their own noise?
  *
- * equivalenceGate() aggregates the individual checks into one verdict
- * that bench_closed_loop turns into its exit code — the same role the
- * bit-identity comparison plays for exact mode.
+ * equivalenceGate() aggregates the individual checks into one verdict,
+ * the same role the bit-identity comparison plays for exact mode;
+ * bench_ensemble composes the fast-mode/2 gate from the individual
+ * checks directly.
  */
 
 #ifndef WSC_STATS_EQUIVALENCE_HH

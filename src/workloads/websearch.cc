@@ -59,41 +59,6 @@ Websearch::nextRequest(Rng &rng)
     return d;
 }
 
-void
-Websearch::nextRequestBatch(BatchStream &s, ServiceDemand *out,
-                            std::size_t n)
-{
-    // Pass 1: every query's keyword count (batched empirical draw from
-    // the fast engine — the table is tiny but the draw law matches).
-    countIdx.resize(n);
-    batcher.drawEmpiricalIndices(keywordCountDist, s.fast,
-                                 countIdx.data(), n);
-    for (std::size_t i = 0; i < n; ++i)
-        countIdx[i] = unsigned(keywordCountDist.valueAt(countIdx[i]));
-
-    // Pass 2: every term of every query, in query order: one
-    // fast-engine uniform per term, tested against the cached-rank
-    // CDF (see nextRequest), so no table is touched. Cold terms add
-    // their posting lists straight into the demand.
-    for (std::size_t i = 0; i < n; ++i) {
-        out[i] = ServiceDemand{};
-        for (unsigned k = 0; k < countIdx[i]; ++k)
-            if (!termCachedFor(s.fast.uniform()))
-                out[i].diskReadBytes += p.postingListBytes;
-    }
-
-    // Pass 3: CPU shaping multipliers (batched Box-Muller over the
-    // fast engine — exact lognormal law) and demand assembly.
-    shapeBuf.resize(n);
-    batcher.drawLognormal(cpuShape, s.fast, shapeBuf.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-        double work =
-            p.cpuWorkBase + p.cpuWorkPerTerm * double(countIdx[i]);
-        out[i].cpuWork = work * shapeBuf[i];
-        out[i].netBytes = p.responseBytes;
-    }
-}
-
 ServiceDemand
 Websearch::meanDemand() const
 {

@@ -15,7 +15,6 @@
 #ifndef WSC_WORKLOADS_WEBSEARCH_HH
 #define WSC_WORKLOADS_WEBSEARCH_HH
 
-#include "sim/batch_sampler.hh"
 #include "sim/distributions.hh"
 #include "workloads/workload.hh"
 
@@ -66,16 +65,6 @@ class Websearch : public InteractiveWorkload
 
     ServiceDemand nextRequest(Rng &rng) override;
 
-    /**
-     * Structure-of-arrays batch generation: all keyword counts, then
-     * every term's cached/cold verdict (one fast-engine uniform each),
-     * then all CPU shaping multipliers. Same joint demand distribution
-     * as the scalar path; different draws, so only fast-mode demand
-     * streams may use it.
-     */
-    void nextRequestBatch(BatchStream &s, ServiceDemand *out,
-                          std::size_t n) override;
-
     ServiceDemand meanDemand() const override;
 
     /** Number of keywords in the next query (1..4 observed mix). */
@@ -100,10 +89,6 @@ class Websearch : public InteractiveWorkload
     bool termCachedFor(double u) const { return u <= cachedCdf; }
     double meanKeywords;
     double coldTermProb; //!< probability one sampled term is uncached
-    // Batch-path scratch (sized on demand; reused across calls).
-    sim::SampleBatcher batcher;
-    std::vector<std::uint32_t> countIdx;
-    std::vector<double> shapeBuf;
 };
 
 } // namespace workloads

@@ -15,7 +15,6 @@
 #ifndef WSC_WORKLOADS_WORKLOAD_HH
 #define WSC_WORKLOADS_WORKLOAD_HH
 
-#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
@@ -51,30 +50,6 @@ struct ServiceDemand {
 struct QosSpec {
     double quantile = 0.95;    //!< fraction of requests bounded
     double latencyLimit = 0.5; //!< seconds
-};
-
-/**
- * Uniform sources for batched demand generation (fast-mode only).
- *
- * Batch overrides split their draws by cost profile: bulk guide-table
- * uniforms come from the counter-based `fast` engine (same law as
- * Rng::uniform on the 53-bit grid, several times cheaper, not
- * bit-identical), while shaping draws that go through std::
- * distributions (lognormal multipliers) stay on the mt19937-backed
- * `rng`. Both children hang off the parent's construction seed via
- * Rng::stream, so a fast-mode run is fully determined by its seed
- * even though its draws differ from the exact path's — the relaxation
- * sim/fast_mode.hh's statistical-equivalence gate covers.
- */
-struct BatchStream {
-    Rng rng;         //!< shaping draws (std:: distributions)
-    SplitMix64 fast; //!< bulk guide-table uniforms
-
-    explicit BatchStream(const Rng &parent)
-        : rng(parent.stream("fast-mode", "demand")),
-          fast(parent.stream("fast-mode", "uniforms").seed())
-    {
-    }
 };
 
 /**
@@ -135,27 +110,6 @@ class InteractiveWorkload : public Workload
 
     /** Draw the demands of the next request. */
     virtual ServiceDemand nextRequest(Rng &rng) = 0;
-
-    /**
-     * Draw @p n requests' demands into @p out in one call.
-     *
-     * The default is the scalar loop over the stream's Rng, so every
-     * workload supports the batch interface with unchanged per-request
-     * semantics. Generators with guide-table draws override this with
-     * structure-of-arrays generation (all counts, then all table
-     * lookups, then all shaping multipliers) so sim::SampleBatcher can
-     * overlap the lookups' cache misses across requests, sourcing the
-     * bulk uniforms from the stream's fast engine. Overrides must
-     * preserve the per-request joint demand distribution; they need
-     * not preserve the exact path's draw order or bit patterns, which
-     * is why only fast mode (sim/fast_mode.hh) calls this.
-     */
-    virtual void
-    nextRequestBatch(BatchStream &s, ServiceDemand *out, std::size_t n)
-    {
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = nextRequest(s.rng);
-    }
 
     /** Mean demands (for capacity estimation; exact where possible). */
     virtual ServiceDemand meanDemand() const = 0;

@@ -30,27 +30,6 @@ Ytube::nextRequest(Rng &rng)
     return d;
 }
 
-void
-Ytube::nextRequestBatch(BatchStream &s, ServiceDemand *out,
-                        std::size_t n)
-{
-    // The popularity uniforms are consumed unused, as in nextRequest;
-    // then demands come from batched Box-Muller transfer-size draws
-    // (exact lognormal law).
-    for (std::size_t i = 0; i < n; ++i)
-        (void)s.fast.uniform();
-    sizeBuf.resize(n);
-    batcher.drawLognormal(transferSize, s.fast, sizeBuf.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-        double mb = sizeBuf[i];
-        ServiceDemand d;
-        d.cpuWork = p.cpuWorkBase + p.cpuWorkPerMB * mb;
-        d.diskReadBytes = mb * 1.0e6;
-        d.netBytes = mb * 1.0e6;
-        out[i] = d;
-    }
-}
-
 ServiceDemand
 Ytube::meanDemand() const
 {

@@ -17,7 +17,6 @@
 #ifndef WSC_WORKLOADS_YTUBE_HH
 #define WSC_WORKLOADS_YTUBE_HH
 
-#include "sim/batch_sampler.hh"
 #include "sim/distributions.hh"
 #include "workloads/workload.hh"
 
@@ -68,16 +67,6 @@ class Ytube : public InteractiveWorkload
 
     ServiceDemand nextRequest(Rng &rng) override;
 
-    /**
-     * Structure-of-arrays batch generation: all popularity uniforms
-     * from the stream's fast engine (consumed, like the scalar path's,
-     * without inversion), then all transfer sizes. Same joint
-     * distribution as the scalar path, different draws — fast-mode
-     * demand streams only.
-     */
-    void nextRequestBatch(BatchStream &s, ServiceDemand *out,
-                          std::size_t n) override;
-
     ServiceDemand meanDemand() const override;
 
     /** Popularity rank of the next requested video. */
@@ -89,9 +78,6 @@ class Ytube : public InteractiveWorkload
     YtubeParams p;
     sim::ZipfDist popularity;
     sim::LognormalDist transferSize;
-    // Batch-path scratch (sized on demand; reused across calls).
-    sim::SampleBatcher batcher;
-    std::vector<double> sizeBuf;
 };
 
 } // namespace workloads

@@ -93,12 +93,11 @@ digest(const ClusterSimResult &r, Rng &rng)
 }
 
 SimWindow
-pinWindow(bool fast)
+pinWindow()
 {
     SimWindow w;
     w.warmupSeconds = 2.0;
     w.measureSeconds = 10.0;
-    w.fastMode.enabled = fast;
     return w;
 }
 
@@ -187,60 +186,51 @@ TEST(ClusterSim, SingleServerClusterMatchesSingleSearch)
     EXPECT_NEAR(scaling.scalingEfficiency, 1.0, 0.15);
 }
 
-// Every SimResult field at a moderate and an overloaded rate, exact
-// and fast mode, recorded before simulateInteractive became the
-// one-server run of the cluster engine.
+// Every SimResult field at a moderate and an overloaded rate,
+// recorded before simulateInteractive became the one-server run of
+// the cluster engine.
 TEST(SimulateInteractive, ResultBytesPinned)
 {
-    const std::array<std::uint64_t, 4> want = {
-        0x6f20479c24b99513ULL, 0xa91b44305bb823a0ULL,
-        0x6e02cd825123d0e9ULL, 0x1474fa4453ce2fcaULL};
+    const std::array<std::uint64_t, 2> want = {0x6f20479c24b99513ULL,
+                                               0xa91b44305bb823a0ULL};
     auto st = stations();
     std::size_t i = 0;
-    for (bool fast : {false, true})
-        for (double rps : {60.0, 400.0}) {
-            workloads::Ytube yt;
-            Rng rng(60 + i);
-            auto r = simulateInteractive(yt, st, rps, pinWindow(fast),
-                                         rng);
-            std::uint64_t d = digest(r, rng);
-            EXPECT_EQ(d, want[i]) << "case " << i << ": 0x" << std::hex
-                                  << d;
-            ++i;
-        }
+    for (double rps : {60.0, 400.0}) {
+        workloads::Ytube yt;
+        Rng rng(60 + i);
+        auto r = simulateInteractive(yt, st, rps, pinWindow(), rng);
+        std::uint64_t d = digest(r, rng);
+        EXPECT_EQ(d, want[i]) << "case " << i << ": 0x" << std::hex << d;
+        ++i;
+    }
 }
 
 // Every ClusterSimResult field for all four dispatch policies at a
-// moderate and an overloaded rate, exact and fast mode.
+// moderate and an overloaded rate.
 TEST(ClusterSim, ResultBytesPinned)
 {
-    const std::array<std::uint64_t, 16> want = {
+    const std::array<std::uint64_t, 8> want = {
         0x0c418a422aaa71abULL, 0x3989542a7a69c66eULL,
         0x885147be1f357aedULL, 0x768365251ea02ff3ULL,
         0x36871ec1bc9e0dcfULL, 0xa7eb6c7d27c2a8a7ULL,
-        0xf95255bc7052e7bfULL, 0xd9ed1c5d88523229ULL,
-        0xd84d1f56e25d900eULL, 0xc8121545b61982adULL,
-        0x7dff0a14bf9fbb83ULL, 0x976a2b458b4fdca6ULL,
-        0x792e04b5f4f04393ULL, 0x63b78cde1c485b89ULL,
-        0xebcc18e89a3c6e2eULL, 0x9a953604a75052d9ULL};
+        0xf95255bc7052e7bfULL, 0xd9ed1c5d88523229ULL};
     auto st = stations();
     std::size_t i = 0;
-    for (bool fast : {false, true})
-        for (double rps : {200.0, 800.0})
-            for (auto policy :
-                 {DispatchPolicy::RoundRobin, DispatchPolicy::Random,
-                  DispatchPolicy::LeastOutstanding,
-                  DispatchPolicy::TwoChoices}) {
-                workloads::Ytube yt;
-                Rng rng(70 + i);
-                auto r = simulateCluster(yt, st, 4, policy, rps,
-                                         pinWindow(fast), rng);
-                std::uint64_t d = digest(r, rng);
-                EXPECT_EQ(d, want[i]) << "case " << i << " ("
-                                      << to_string(policy) << "): 0x"
-                                      << std::hex << d;
-                ++i;
-            }
+    for (double rps : {200.0, 800.0})
+        for (auto policy :
+             {DispatchPolicy::RoundRobin, DispatchPolicy::Random,
+              DispatchPolicy::LeastOutstanding,
+              DispatchPolicy::TwoChoices}) {
+            workloads::Ytube yt;
+            Rng rng(70 + i);
+            auto r = simulateCluster(yt, st, 4, policy, rps, pinWindow(),
+                                     rng);
+            std::uint64_t d = digest(r, rng);
+            EXPECT_EQ(d, want[i]) << "case " << i << " ("
+                                  << to_string(policy) << "): 0x"
+                                  << std::hex << d;
+            ++i;
+        }
 }
 
 // The aggregation check's base case: a one-server round-robin cluster
@@ -252,7 +242,7 @@ TEST(ClusterSim, SingleServerEqualsSimulateInteractive)
     workloads::Ytube yt;
     workloads::Websearch ws;
     workloads::Webmail wm;
-    std::uint64_t seed = 80;
+    std::uint64_t seed = 79;
     for (workloads::InteractiveWorkload *w :
          {static_cast<workloads::InteractiveWorkload *>(&yt),
           static_cast<workloads::InteractiveWorkload *>(&ws),
@@ -262,33 +252,33 @@ TEST(ClusterSim, SingleServerEqualsSimulateInteractive)
             auto st = ev.stationsFor(platform::makeSystem(sys),
                                      w->traits(), {});
             double bound = analyticBound(*w, st);
-            for (double load : {0.3, 0.7, 0.95, 1.3})
-                for (bool fast : {false, true}) {
-                    SCOPED_TRACE(w->name() + " load " +
-                                 std::to_string(load) +
-                                 (fast ? " fast" : " exact"));
-                    ++seed;
-                    Rng r1(seed), r2(seed);
-                    auto one = simulateInteractive(
-                        *w, st, load * bound, pinWindow(fast), r1);
-                    auto c = simulateCluster(
-                        *w, st, 1, DispatchPolicy::RoundRobin,
-                        load * bound, pinWindow(fast), r2);
-                    EXPECT_EQ(c.offeredRps, one.offeredRps);
-                    EXPECT_EQ(c.completed, one.completed);
-                    EXPECT_EQ(c.p95Latency, one.p95Latency);
-                    EXPECT_EQ(c.qosViolationFraction,
-                              one.qosViolationFraction);
-                    EXPECT_EQ(c.meanCpuUtilization, one.cpuUtilization);
-                    EXPECT_EQ(c.maxCpuUtilization, one.cpuUtilization);
-                    EXPECT_EQ(c.saturated,
-                              one.saturated ||
-                                  double(one.completed) <
-                                      0.97 * double(one.offered));
-                    EXPECT_EQ(c.passes(w->qos()), one.passes(w->qos()));
-                    EXPECT_EQ(r1.uniformInt(0, ~std::uint64_t(0)),
-                              r2.uniformInt(0, ~std::uint64_t(0)));
-                }
+            for (double load : {0.3, 0.7, 0.95, 1.3}) {
+                SCOPED_TRACE(w->name() + " load " +
+                             std::to_string(load));
+                // Odd seeds 81, 83, ...: the seeds these cases were
+                // first recorded with.
+                seed += 2;
+                Rng r1(seed), r2(seed);
+                auto one = simulateInteractive(*w, st, load * bound,
+                                               pinWindow(), r1);
+                auto c = simulateCluster(*w, st, 1,
+                                         DispatchPolicy::RoundRobin,
+                                         load * bound, pinWindow(), r2);
+                EXPECT_EQ(c.offeredRps, one.offeredRps);
+                EXPECT_EQ(c.completed, one.completed);
+                EXPECT_EQ(c.p95Latency, one.p95Latency);
+                EXPECT_EQ(c.qosViolationFraction,
+                          one.qosViolationFraction);
+                EXPECT_EQ(c.meanCpuUtilization, one.cpuUtilization);
+                EXPECT_EQ(c.maxCpuUtilization, one.cpuUtilization);
+                EXPECT_EQ(c.saturated,
+                          one.saturated ||
+                              double(one.completed) <
+                                  0.97 * double(one.offered));
+                EXPECT_EQ(c.passes(w->qos()), one.passes(w->qos()));
+                EXPECT_EQ(r1.uniformInt(0, ~std::uint64_t(0)),
+                          r2.uniformInt(0, ~std::uint64_t(0)));
+            }
         }
 }
 

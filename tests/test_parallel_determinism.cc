@@ -18,7 +18,6 @@
 #include "obs/run_report.hh"
 #include "perfsim/cluster_sim.hh"
 #include "platform/catalog.hh"
-#include "sim/fast_mode.hh"
 
 namespace {
 
@@ -169,24 +168,6 @@ TEST(ParallelDeterminism, ReportJsonIdenticalAtEveryWidth)
     // field's absence is what keeps them byte-identical to
     // pre-fast-mode output.
     EXPECT_EQ(reports[0].find("\"fast_mode\""), std::string::npos);
-}
-
-TEST(ParallelDeterminism, FastModeStampOnlyWhenEnabled)
-{
-    auto cells = sweepCells();
-    obs::ReportOptions noTimings;
-    noTimings.includeTimings = false;
-
-    DesignEvaluator ev(fastParams());
-    ev.evaluateBatch(cells, nullptr);
-    auto report = buildSweepReport(ev, cells, "test");
-    auto plain = obs::toJson(report, noTimings);
-    EXPECT_EQ(plain.find("\"fast_mode\""), std::string::npos);
-
-    report.fastMode = sim::FastModeConfig::contractVersion();
-    auto stamped = obs::toJson(report, noTimings);
-    EXPECT_NE(stamped.find("\"fast_mode\": \"fast-mode/1\""),
-              std::string::npos);
 }
 
 TEST(ParallelDeterminism, ClusterSweepMatchesAtEveryWidth)

@@ -361,4 +361,46 @@ TEST(Rng, BernoulliFrequency)
     EXPECT_NEAR(double(hits) / n, 0.3, 0.01);
 }
 
+TEST(SplitMix64Engine, DeterministicPerSeed)
+{
+    SplitMix64 a(123), b(123), c(124);
+    bool anyDiff = false;
+    for (int i = 0; i < 100; ++i) {
+        double ua = a.uniform();
+        EXPECT_EQ(ua, b.uniform());
+        EXPECT_GE(ua, 0.0);
+        EXPECT_LT(ua, 1.0);
+        anyDiff = anyDiff || ua != c.uniform();
+    }
+    EXPECT_TRUE(anyDiff);
+}
+
+TEST(SplitMix64, PoissonMatchesLaw)
+{
+    // Mean 3 takes Knuth's product loop, mean 50 the PTRS rejection
+    // sampler; a Poisson's variance equals its mean. Tolerances are
+    // about four standard errors of the 200k-draw estimates.
+    struct Case {
+        double mean, meanTol, varTol;
+    };
+    for (Case c : {Case{3.0, 0.02, 0.05}, Case{50.0, 0.07, 0.65}}) {
+        SplitMix64 g(2024);
+        constexpr int n = 200000;
+        double sum = 0.0, sumSq = 0.0;
+        for (int i = 0; i < n; ++i) {
+            double k = double(g.poisson(c.mean));
+            sum += k;
+            sumSq += k * k;
+        }
+        double mean = sum / n;
+        double var = (sumSq - n * mean * mean) / (n - 1);
+        EXPECT_NEAR(mean, c.mean, c.meanTol) << "mean " << c.mean;
+        EXPECT_NEAR(var, c.mean, c.varTol) << "mean " << c.mean;
+    }
+
+    SplitMix64 g(7);
+    EXPECT_EQ(g.poisson(0.0), 0u);
+    EXPECT_EQ(g.poisson(std::nan("")), 0u);
+}
+
 } // namespace

@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/batch_sampler.hh"
 #include "workloads/mapreduce.hh"
 #include "workloads/suite.hh"
 #include "workloads/webmail.hh"
@@ -196,21 +195,13 @@ TEST(Ytube, PopularityRanksValid)
 }
 
 // Test-local references that walk the Zipf table: they invert every
-// rank uniform (ZipfDist::sampleRank / SampleBatcher) and test the
-// rank, the walk nextRequest and nextRequestBatch skip.
+// rank uniform (ZipfDist::sampleRank) and test the rank, the walk
+// nextRequest skips.
 
 bool
 sameDemand(const ServiceDemand &a, const ServiceDemand &b)
 {
     return std::memcmp(&a, &b, sizeof a) == 0;
-}
-
-/** The keyword-count mix Websearch draws from (Xie & O'Hallaron). */
-sim::EmpiricalDist
-keywordMix()
-{
-    return sim::EmpiricalDist({1.0, 2.0, 3.0, 4.0, 5.0},
-                              {0.28, 0.36, 0.22, 0.10, 0.04});
 }
 
 ServiceDemand
@@ -227,37 +218,6 @@ websearchByRank(Websearch &ws, sim::ZipfDist &terms,
             d.diskReadBytes += p.postingListBytes;
     d.netBytes = p.responseBytes;
     return d;
-}
-
-std::vector<ServiceDemand>
-websearchBatchByRank(Websearch &ws, BatchStream &s, std::size_t n)
-{
-    const auto &p = ws.params();
-    sim::EmpiricalDist mix = keywordMix();
-    sim::ZipfDist terms(p.vocabularyTerms, p.termZipfExponent);
-    sim::LognormalDist shape(1.0, p.covCpu);
-    sim::SampleBatcher batcher;
-    std::vector<std::uint32_t> idx(n);
-    batcher.drawEmpiricalIndices(mix, s.fast, idx.data(), n);
-    std::size_t total = 0;
-    for (auto &i : idx)
-        total += (i = std::uint32_t(mix.valueAt(i)));
-    std::vector<std::uint64_t> ranks(total);
-    batcher.drawZipfRanks(terms, s.fast, ranks.data(), total);
-    std::vector<double> shapes(n);
-    batcher.drawLognormal(shape, s.fast, shapes.data(), n);
-    std::vector<ServiceDemand> out(n);
-    std::size_t t = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        ServiceDemand &d = out[i];
-        d.cpuWork =
-            (p.cpuWorkBase + p.cpuWorkPerTerm * double(idx[i])) * shapes[i];
-        for (unsigned k = 0; k < idx[i]; ++k)
-            if (!ws.termIsCached(ranks[t++]))
-                d.diskReadBytes += p.postingListBytes;
-        d.netBytes = p.responseBytes;
-    }
-    return out;
 }
 
 TEST(Websearch, ThresholdDrawsMatchRankWalk)
@@ -282,21 +242,6 @@ TEST(Websearch, ThresholdDrawsMatchRankWalk)
                     << vocabulary << " terms, cached " << cached
                     << ", request " << i;
             EXPECT_TRUE(a.raw() == b.raw()) << "cached " << cached;
-
-            // Batched: repeated calls of uneven size reuse the scratch.
-            Rng parent(seed);
-            BatchStream sa(parent), sb(parent);
-            for (std::size_t n : {1000u, 37u, 4096u}) {
-                std::vector<ServiceDemand> got(n);
-                ws.nextRequestBatch(sa, got.data(), n);
-                auto want = websearchBatchByRank(ref, sb, n);
-                for (std::size_t i = 0; i < n; ++i)
-                    ASSERT_TRUE(sameDemand(got[i], want[i]))
-                        << vocabulary << " terms, cached " << cached
-                        << ", batch of " << n << ", request " << i;
-            }
-            EXPECT_EQ(sa.fast.nextU64(), sb.fast.nextU64());
-            EXPECT_TRUE(sa.rng.raw() == sb.rng.raw());
         }
     }
 }
@@ -321,29 +266,6 @@ TEST(Ytube, DiscardedPopularityDrawMatchesRankWalk)
             ASSERT_TRUE(sameDemand(yt.nextRequest(a), byRank(b)))
                 << "request " << i;
         EXPECT_TRUE(a.raw() == b.raw());
-
-        Rng parent(seed);
-        BatchStream sa(parent), sb(parent);
-        sim::ZipfDist popularity(p.catalogSize, p.popularityZipf);
-        sim::SampleBatcher batcher;
-        for (std::size_t n : {1000u, 37u, 4096u}) {
-            std::vector<ServiceDemand> got(n);
-            yt.nextRequestBatch(sa, got.data(), n);
-            std::vector<std::uint64_t> ranks(n);
-            batcher.drawZipfRanks(popularity, sb.fast, ranks.data(), n);
-            std::vector<double> mb(n);
-            batcher.drawLognormal(size, sb.fast, mb.data(), n);
-            for (std::size_t i = 0; i < n; ++i) {
-                ServiceDemand d;
-                d.cpuWork = p.cpuWorkBase + p.cpuWorkPerMB * mb[i];
-                d.diskReadBytes = mb[i] * 1.0e6;
-                d.netBytes = mb[i] * 1.0e6;
-                ASSERT_TRUE(sameDemand(got[i], d))
-                    << "batch of " << n << " request " << i;
-            }
-        }
-        EXPECT_EQ(sa.fast.nextU64(), sb.fast.nextU64());
-        EXPECT_TRUE(sa.rng.raw() == sb.rng.raw());
     }
 }
 

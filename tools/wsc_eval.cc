@@ -200,13 +200,11 @@ main(int argc, char **argv)
         .addFlag("trace",
                  "count kernel trace records and summarize on stderr")
         .addFlag("fast-mode",
-                 "statistically-equivalent fast paths (not "
-                 "bit-identical): batched sampling in the perf search "
+                 "macro-event arrival coalescing in the ensemble DES, "
+                 "statistically equivalent but not bit-identical "
                  "(contract " +
-                     sim::FastModeConfig::contractVersion() +
-                     ") and macro-event arrival coalescing in the "
-                     "ensemble DES (contract " +
-                     sim::EnsembleFastConfig::contractVersion() + ")")
+                     sim::EnsembleFastConfig::contractVersion() +
+                     "); requires --ensemble")
         .addFlag("csv", "emit CSV instead of an aligned table");
 
     try {
@@ -233,7 +231,8 @@ main(int argc, char **argv)
         if (iters < 1 || iters > 64)
             fatal("--search-iters must be in [1, 64]");
         params.search.iterations = unsigned(iters);
-        params.search.window.fastMode.enabled = args.flag("fast-mode");
+        if (args.flag("fast-mode") && !args.flag("ensemble"))
+            fatal("--fast-mode requires --ensemble");
 
         // --trace installs a shared (thread-safe) counting sink on
         // every simulation's event queue.
@@ -479,8 +478,6 @@ main(int argc, char **argv)
                                            std::uint64_t(threads));
             report.avail = availEntries;
             report.ensemble = ensembleEntries;
-            if (args.flag("fast-mode"))
-                report.fastMode = sim::FastModeConfig::contractVersion();
             std::ofstream out(report_path);
             if (!out)
                 fatal("cannot open report path '" + report_path + "'");
