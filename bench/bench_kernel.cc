@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the simulation kernels: event
  * queue throughput, processor-sharing resource, Zipf sampling, and
- * the page-replacement policies that dominate the trace studies.
+ * the page-replacement policies, trace generation and stack-distance
+ * engine that dominate the trace studies.
  */
 
 #include <benchmark/benchmark.h>
@@ -10,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "flashcache/io_trace.hh"
 #include "memblade/replacement.hh"
 #include "memblade/replay.hh"
 #include "memblade/stack_distance.hh"
@@ -230,20 +232,33 @@ BM_TraceGeneration(benchmark::State &state)
 }
 BENCHMARK(BM_TraceGeneration);
 
+/** The generator profiles the trace studies run: the five memory-
+ * blade profiles, then webmail-io, the flash sweep's most expensive
+ * profile to generate per page. */
+memblade::TraceProfile
+traceProfileArg(std::int64_t arg)
+{
+    if (arg < std::int64_t(std::size(workloads::allBenchmarks)))
+        return memblade::profileFor(workloads::allBenchmarks[arg]);
+    return flashcache::ioProfileFor(workloads::Benchmark::Webmail);
+}
+
 void
 BM_TraceGenerationBatch(benchmark::State &state)
 {
-    // Same stream as BM_TraceGeneration, pulled 4096 ids at a time.
-    auto profile = memblade::profileFor(workloads::Benchmark::Ytube);
+    // Pulled 4096 ids at a time, the chunk the replay loops use.
+    auto profile = traceProfileArg(state.range(0));
     memblade::TraceGenerator gen(profile, Rng(5));
     std::vector<memblade::PageId> buf(4096);
     for (auto _ : state) {
         gen.nextBatch(buf.data(), buf.size());
-        benchmark::DoNotOptimize(buf[0]);
+        benchmark::DoNotOptimize(buf.data());
+        benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations() * 4096);
+    state.SetLabel(profile.name);
 }
-BENCHMARK(BM_TraceGenerationBatch);
+BENCHMARK(BM_TraceGenerationBatch)->DenseRange(0, 5);
 
 void
 BM_KernelReplay(benchmark::State &state)
@@ -284,6 +299,28 @@ BM_StackDistancePass(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * std::int64_t(n));
 }
 BENCHMARK(BM_StackDistancePass);
+
+void
+BM_StackDistanceEngine(benchmark::State &state)
+{
+    // The engine alone over a pregenerated trace: 1M websearch accesses (a Figure 4 curve) or
+    // 400k ytube-io accesses (a flash sweep's 5M-page id space).
+    bool flash = state.range(0) != 0;
+    auto profile =
+        flash ? flashcache::ioProfileFor(workloads::Benchmark::Ytube)
+              : memblade::profileFor(workloads::Benchmark::Websearch);
+    auto trace = memblade::generateTrace(
+        profile, flash ? 400000 : 1000000, Rng(7));
+    const std::size_t n = trace.size();
+    for (auto _ : state) {
+        memblade::StackDistanceEngine eng(profile.footprintPages, n);
+        eng.access(trace.data(), n);
+        benchmark::DoNotOptimize(eng.finish().coldMisses);
+    }
+    state.SetItemsProcessed(state.iterations() * std::int64_t(n));
+    state.SetLabel(profile.name);
+}
+BENCHMARK(BM_StackDistanceEngine)->Arg(0)->Arg(1);
 
 } // namespace
 

@@ -11,105 +11,146 @@ namespace memblade {
 
 StackDistanceEngine::StackDistanceEngine(std::uint64_t pageBound,
                                          std::uint64_t maxAccesses)
+    : last(std::size_t(pageBound))
 {
     WSC_ASSERT(pageBound > 0, "empty page-id space");
     // Timestamps are uint32; one slot per access plus the unused 0.
     WSC_ASSERT(maxAccesses < ~std::uint32_t(0),
                "trace too long for 32-bit timestamps");
-    last.assign(std::size_t(pageBound), 0);
     capacity_ = std::uint32_t(maxAccesses);
-    // One mark bit per timestamp (1-based; slot 0 unused) plus the
-    // block and superblock rank counters, all sized for the whole
-    // trace up front.
-    live.assign((std::size_t(maxAccesses) >> kWordShift) + 1, 0);
-    blockCnt.assign((std::size_t(maxAccesses) >> kBlockShift) + 1, 0);
-    superCnt.assign((std::size_t(maxAccesses) >> kSuperShift) + 1, 0);
-    // Distances are < min(pageBound, maxAccesses); sizing the
-    // histogram up front keeps record() from ever growing it.
+    // One bit per timestamp (1-based; slot 0 unused), and count
+    // levels until one group spans every timestamp, all sized for the
+    // whole trace up front. A count is at most kGroup - 1 units'
+    // worth of timestamps, so the lowest three levels fit 16 bits.
+    std::size_t units = (std::size_t(maxAccesses) >> kWordShift) + 1;
+    dead.assign(units, 0);
+    std::uint64_t unitSpan = std::uint64_t(1) << kWordShift;
+    std::size_t narrowSize = 0, wideSize = 0;
+    do {
+        std::size_t groups = (units + kGroup - 1) >> kGroupShift;
+        if ((kGroup - 1) * unitSpan <= 0xFFFF) {
+            narrowStart.push_back(narrowSize);
+            narrowSize += groups << kGroupShift;
+        } else {
+            wideStart.push_back(wideSize);
+            wideSize += groups << kGroupShift;
+        }
+        units = groups;
+        unitSpan <<= kGroupShift;
+    } while (units > 1);
+    narrow.assign(narrowSize, 0);
+    wide.assign(wideSize, 0);
+    // Distances are < min(pageBound, maxAccesses), so the histogram
+    // is sized once, here (the measured one on beginMeasurement).
     hist.assign(std::size_t(std::min(pageBound, maxAccesses)) + 1, 0);
 }
 
-void
-StackDistanceEngine::setMark(std::uint32_t t)
+inline std::uint32_t
+StackDistanceEngine::deadBefore(std::uint32_t t) const
 {
-    live[t >> kWordShift] |= std::uint64_t(1) << (t & 63);
-    ++blockCnt[t >> kBlockShift];
-    ++superCnt[t >> kSuperShift];
-}
-
-void
-StackDistanceEngine::clearMark(std::uint32_t t)
-{
-    live[t >> kWordShift] &= ~(std::uint64_t(1) << (t & 63));
-    --blockCnt[t >> kBlockShift];
-    --superCnt[t >> kSuperShift];
-}
-
-std::uint32_t
-StackDistanceEngine::rankAt(std::uint32_t t) const
-{
-    std::size_t word = t >> kWordShift;
-    std::size_t block = t >> kBlockShift;
-    std::size_t super = t >> kSuperShift;
-    std::uint32_t s = 0;
-    // Whole superblocks below t, then whole blocks within t's
-    // superblock, then whole words within t's block: three short
-    // contiguous sums over arrays that stay cache-resident.
-    for (std::size_t i = 0; i < super; ++i)
-        s += superCnt[i];
-    for (std::size_t b = super << (kSuperShift - kBlockShift);
-         b < block; ++b)
-        s += blockCnt[b];
-    for (std::size_t w = block << (kBlockShift - kWordShift); w < word;
-         ++w)
-        s += std::uint32_t(std::popcount(live[w]));
-    // Partial word: bits 0 .. (t & 63) inclusive.
-    std::uint64_t mask = ~std::uint64_t(0) >> (63 - (t & 63));
-    return s + std::uint32_t(std::popcount(live[word] & mask));
-}
-
-void
-StackDistanceEngine::record(std::vector<std::uint32_t> &hist,
-                            std::uint64_t d)
-{
-    if (d >= hist.size()) {
-        std::size_t sz = hist.empty() ? 64 : hist.size();
-        while (sz <= d)
-            sz *= 2;
-        hist.resize(sz, 0);
+    // Bits below t in its word, then t's unit's in-group prefix at
+    // every level: the groups nest, so together they cover [0, t).
+    std::uint64_t below = (std::uint64_t(1) << (t & 63)) - 1;
+    auto s = std::uint32_t(std::popcount(dead[t >> kWordShift] & below));
+    std::size_t unit = t >> kWordShift;
+    for (std::size_t start : narrowStart) {
+        s += narrow[start + unit];
+        unit >>= kGroupShift;
     }
-    ++hist[d];
+    for (std::size_t start : wideStart) {
+        s += wide[start + unit];
+        unit >>= kGroupShift;
+    }
+    return s;
+}
+
+namespace {
+
+/** One more dead timestamp before every unit of @p unit's group
+ * after it, at the level whose counts start at @p counts: a
+ * fixed-length masked add. */
+template <typename Count, std::uint32_t Group>
+void
+countAfter(Count *counts, std::size_t unit)
+{
+    Count *group = counts + (unit & ~std::size_t(Group - 1));
+    auto at = Count(unit & (Group - 1));
+    for (Count i = 0; i < Group; ++i)
+        group[i] += i > at;
+}
+
+} // namespace
+
+inline void
+StackDistanceEngine::kill(std::uint32_t t)
+{
+    dead[t >> kWordShift] |= std::uint64_t(1) << (t & 63);
+    std::size_t unit = t >> kWordShift;
+    for (std::size_t start : narrowStart) {
+        countAfter<std::uint16_t, kGroup>(narrow.data() + start, unit);
+        unit >>= kGroupShift;
+    }
+    for (std::size_t start : wideStart) {
+        countAfter<std::uint32_t, kGroup>(wide.data() + start, unit);
+        unit >>= kGroupShift;
+    }
 }
 
 void
-StackDistanceEngine::access(PageId page)
+StackDistanceEngine::access(const PageId *pages, std::size_t n)
 {
-    WSC_ASSERT(page < last.size(), "page id beyond declared bound");
-    WSC_ASSERT(now < capacity_, "engine capacity exceeded");
-    ++now;
-    if (measuring)
-        ++measuredAccesses_;
-    std::uint32_t prev = last[page];
-    if (prev == 0) {
-        // First touch: infinite distance, a miss at every capacity.
-        ++cold;
+    // Two prefetch stages: pull a page's last-access slot 16
+    // references ahead; 6 ahead, once that slot has had time to
+    // arrive, read the page's previous timestamp and pull the two
+    // randomly indexed lines its query and update touch, its bitmap
+    // word and its first-level counts (the higher levels are small
+    // enough to stay resident). Purely hints: a stale timestamp only
+    // mistrains a prefetch.
+    constexpr std::size_t kSlotAhead = 16, kPathsAhead = 6;
+    // Checked once a batch, so the loop indexes without bounds tests.
+    WSC_ASSERT(n <= capacity_ - now, "engine capacity exceeded");
+    WSC_ASSERT(std::all_of(pages, pages + n,
+                           [&](PageId p) { return p < last.size(); }),
+               "page id beyond declared bound");
+    for (std::size_t i = 0; i < n; ++i) {
+#if defined(__GNUC__) || defined(__clang__)
+        if (i + kSlotAhead < n)
+            __builtin_prefetch(last.data() + pages[i + kSlotAhead]);
+        if (i + kPathsAhead < n) {
+            std::uint32_t prev = last[pages[i + kPathsAhead]];
+            if (prev != 0) {
+                __builtin_prefetch(dead.data() + (prev >> kWordShift));
+                __builtin_prefetch(narrow.data() + (prev >> kWordShift));
+            }
+        }
+#endif
+        PageId page = pages[i];
+        ++now;
         if (measuring)
-            ++measuredCold;
-    } else {
-        // Marks in (prev, now-1] = distinct other pages since the
-        // previous access; a C-frame LRU cache hits iff d < C. Every
-        // distinct page seen so far holds exactly one live mark at a
-        // time <= now-1, so the full rank at now-1 is just the
-        // cold-miss count — only rankAt(prev) needs the bitmap.
-        std::uint64_t d = cold - rankAt(prev);
-        record(hist, d);
-        if (measuring)
-            record(measuredHist, d);
-        // The page's mark moves from its old time to now.
-        clearMark(prev);
+            ++measuredAccesses_;
+        std::uint32_t prev = last[page];
+        if (prev == 0) {
+            // First touch: infinite distance, a miss at every capacity.
+            ++cold;
+            if (measuring)
+                ++measuredCold;
+        } else {
+            // The other pages touched since prev are the live
+            // timestamps in (prev, now): each distinct page seen holds
+            // exactly one live timestamp, so that is cold minus the
+            // live ones at or before prev, and every timestamp up to
+            // prev lives unless it is dead. A C-frame LRU cache hits
+            // iff d < C.
+            std::uint64_t d = cold - (prev - deadBefore(prev));
+            WSC_ASSERT(d < hist.size(),
+                       "stack distance out of range: " << d);
+            ++hist[d];
+            if (measuring)
+                ++measuredHist[d];
+            kill(prev);
+        }
+        last[page] = now;
     }
-    setMark(now);
-    last[page] = now;
 }
 
 namespace {
@@ -153,15 +194,14 @@ lruCurve(TraceGenerator &gen, std::uint64_t pageBound,
         auto n = std::size_t(
             std::min<std::uint64_t>(kChunk, accesses - done));
         gen.nextBatch(buf.data(), n);
-        for (std::size_t i = 0; i < n; ++i) {
-            if (i + 16 < n)
-                eng.prefetchPage(buf[i + 16]);
-            if (i + 6 < n)
-                eng.prefetchPaths(buf[i + 6]);
-            if (done + i == warmup)
-                eng.beginMeasurement();
-            eng.access(buf[i]);
-        }
+        // Split the chunk where the measured window starts.
+        std::size_t head = warmup >= done && warmup - done < n
+                               ? std::size_t(warmup - done)
+                               : n;
+        eng.access(buf.data(), head);
+        if (head < n)
+            eng.beginMeasurement();
+        eng.access(buf.data() + head, n - head);
         done += n;
     }
     return eng.finish();

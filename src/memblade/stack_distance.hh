@@ -12,16 +12,23 @@
  * (Figure 4b style curves) or flash-cache sizes collapse from N
  * replays to a single pass per workload.
  *
- * Reuse distances are computed with a ranked bitmap over last-access
- * timestamps: each live page contributes one mark (bit) at the time
- * of its most recent access, and two small count arrays — one per
- * 512-timestamp block, one per 64-block superblock — turn "marks at
- * times <= t" into a handful of contiguous sums plus at most eight
- * popcounts. The whole structure is ~1.04 bits per trace access
- * (256 KB for a 2M-access trace), so queries stay cache-resident
- * where a Fenwick tree of 32-bit nodes would wander an array 32x
- * larger. Total cost O(n * n/superblock) worst case but with tiny
- * constants; space O(n/8 + footprint).
+ * Reuse distances are counted over last-access timestamps. Every
+ * access takes the next timestamp, and a timestamp stays live while
+ * it is its page's most recent access; when the page is touched
+ * again the old one dies. The pages touched since a page's previous
+ * access at time prev are the live timestamps after prev, so with
+ * `cold` distinct pages seen, its distance is cold - (prev - dead
+ * timestamps before prev). Dead timestamps sit in a bitmap with a
+ * few levels of in-group prefix counts above it (8 units a group:
+ * 64-bit words, then 512-, 4096-, ... timestamp units), so the count
+ * before prev is one popcount plus one load per level, and marking
+ * prev dead adds one to at most 7 neighbouring counts per level, one
+ * 16-byte vector add on the 16-bit levels. The number of levels is
+ * fixed by the trace capacity (5 for 1M accesses, 9 at 2^32), so
+ * neither the query nor the update has a loop whose length depends
+ * on the data. The structure takes ~1.3 bits per trace access
+ * (~330 KB for 2M accesses), small enough to stay cache-resident;
+ * space O(n/6 bytes + footprint).
  *
  * Determinism contract: lruCurveForProfile consumes its Rng in
  * exactly the order replayProfile does, so curve.statsAt(frames) is
@@ -40,6 +47,7 @@
 
 #include "memblade/trace.hh"
 #include "memblade/two_level.hh"
+#include "util/zero_pages.hh"
 
 namespace wsc {
 namespace memblade {
@@ -110,72 +118,53 @@ class StackDistanceEngine
   public:
     /**
      * @param pageBound Page ids are < pageBound.
-     * @param maxAccesses Capacity: at most this many access() calls.
+     * @param maxAccesses Capacity: at most this many references.
      */
     StackDistanceEngine(std::uint64_t pageBound,
                         std::uint64_t maxAccesses);
 
-    /** Record the next reference. */
-    void access(PageId page);
-
-    /** Pull @p page's last-access slot toward the cache; issue ~16
-     * accesses ahead of the access() that uses it. */
-    void
-    prefetchPage(PageId page) const
-    {
-#if defined(__GNUC__) || defined(__clang__)
-        if (page < last.size())
-            __builtin_prefetch(last.data() + page);
-#else
-        (void)page;
-#endif
-    }
-
     /**
-     * Second prefetch stage, issued once the last-access slot has had
-     * time to arrive: read the page's previous timestamp and pull its
-     * bitmap line — the only randomly-indexed line in the query (the
-     * count arrays are small enough to stay resident). Purely a hint:
-     * a stale timestamp only mistrains the prefetch.
+     * Record the references @p pages[0..n), in order, prefetching
+     * each one's slots a few references ahead.
      */
-    void
-    prefetchPaths(PageId page) const
-    {
-#if defined(__GNUC__) || defined(__clang__)
-        std::uint32_t prev = page < last.size()
-                                 ? last[std::size_t(page)]
-                                 : 0;
-        if (prev != 0)
-            __builtin_prefetch(live.data() + (prev >> kWordShift));
-#else
-        (void)page;
-#endif
-    }
+    void access(const PageId *pages, std::size_t n);
 
     /** Subsequent accesses also count toward the measured window. */
-    void beginMeasurement() { measuring = true; }
+    void
+    beginMeasurement()
+    {
+        measuring = true;
+        measuredHist.resize(hist.size(), 0);
+    }
 
     /** Build the cumulative curve from the histograms. */
     StackDistanceCurve finish() const;
 
   private:
-    /** Ranked-bitmap geometry: 64-bit words, 512-timestamp blocks
-     * (one cache line of bitmap), 64-block superblocks. */
+    /** 64 timestamps a bitmap word; 8 units a count group, so level
+     * k's units span 2^(6 + 3k) timestamps. A 16-bit level's group
+     * is one 16-byte vector. */
     static constexpr std::uint32_t kWordShift = 6;
-    static constexpr std::uint32_t kBlockShift = 9;
-    static constexpr std::uint32_t kSuperShift = 15;
+    static constexpr std::uint32_t kGroupShift = 3;
+    static constexpr std::uint32_t kGroup = 1u << kGroupShift;
 
-    void setMark(std::uint32_t t);
-    void clearMark(std::uint32_t t);
-    /** Live marks at times <= @p t (t >= 1). */
-    std::uint32_t rankAt(std::uint32_t t) const;
-    static void record(std::vector<std::uint32_t> &hist,
-                       std::uint64_t d);
+    /** Dead timestamps before @p t. */
+    std::uint32_t deadBefore(std::uint32_t t) const;
+    /** Mark the live timestamp @p t dead. */
+    void kill(std::uint32_t t);
 
-    std::vector<std::uint32_t> last; //!< last[p] = time (1-based); 0 = never
-    std::vector<std::uint64_t> live;     //!< mark bit per timestamp
-    std::vector<std::uint16_t> blockCnt; //!< marks per 512 timestamps
-    std::vector<std::uint32_t> superCnt; //!< marks per 32768 timestamps
+    /** last[p] = time (1-based); 0 = never. Zero pages: a trace that
+     * touches few of a large id space makes few of them resident. */
+    ZeroPageArray<std::uint32_t> last;
+    std::vector<std::uint64_t> dead; //!< bit per timestamp: 1 = dead
+    /** The count levels, lowest first, each padded to whole groups:
+     * a level's entry j = dead timestamps in unit j's group before
+     * unit j (level 0's units are bitmap words). Levels whose counts
+     * fit 16 bits (the lowest three) sit in narrow, the rest in
+     * wide, each at its start offset. */
+    std::vector<std::uint16_t> narrow;
+    std::vector<std::uint32_t> wide;
+    std::vector<std::size_t> narrowStart, wideStart;
     /** hist[d] counts; uint32 suffices (counts <= maxAccesses < 2^32)
      * and halves the randomly-indexed footprint. */
     std::vector<std::uint32_t> hist, measuredHist;

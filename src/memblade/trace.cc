@@ -86,74 +86,75 @@ TraceGenerator::TraceGenerator(TraceProfile profile, Rng rng_in)
     WSC_ASSERT(p.footprintPages > 0, "empty footprint");
     WSC_ASSERT(p.hotSetFraction > 0.0 && p.hotSetFraction < 1.0,
                "hot-set fraction out of (0,1)");
+    WSC_ASSERT(p.hotProb >= 0.0 && p.hotProb <= 1.0,
+               "hot probability out of [0,1]: " << p.hotProb);
+    WSC_ASSERT(p.seqRunMean >= 0.0,
+               "sequential run mean negative or NaN: " << p.seqRunMean);
     hotPages = std::uint64_t(double(p.footprintPages) * p.hotSetFraction);
+    hotBound = Rng::bernoulliBound(p.hotProb);
+    if (p.seqRunMean > 1.0)
+        continueBound = Rng::bernoulliBound(1.0 - 1.0 / p.seqRunMean);
 }
 
-PageId
-TraceGenerator::drawStart()
+std::size_t
+TraceGenerator::drainRun(PageId *out, std::size_t n)
 {
-    if (rng.bernoulli(p.hotProb)) {
-        // Hot pages occupy the low ids; Zipf rank 1 is hottest.
-        return hotDist.sampleRank(rng) - 1;
+    auto take = std::size_t(std::min<std::uint64_t>(runLeft, n));
+    if (runPage + take < p.footprintPages) {
+        PageId page = runPage;
+        for (std::size_t j = 0; j < take; ++j)
+            out[j] = ++page;
+        runPage = page;
+    } else {
+        for (std::size_t j = 0; j < take; ++j) {
+            runPage = (runPage + 1) % p.footprintPages;
+            out[j] = runPage;
+        }
     }
-    return hotPages + (coldDist.sampleRank(rng) - 1);
-}
-
-PageId
-TraceGenerator::next()
-{
-    if (runLeft > 0) {
-        --runLeft;
-        runPage = (runPage + 1) % p.footprintPages;
-        return runPage;
-    }
-    runPage = drawStart();
-    if (p.seqRunMean > 1.0) {
-        // Geometric run length with the configured mean.
-        double continue_prob = 1.0 - 1.0 / p.seqRunMean;
-        std::uint64_t len = 0;
-        while (rng.bernoulli(continue_prob) && len < 4096)
-            ++len;
-        runLeft = len;
-    }
-    return runPage;
+    runLeft -= take;
+    return take;
 }
 
 void
 TraceGenerator::nextBatch(PageId *out, std::size_t n)
 {
-    std::size_t i = 0;
+    std::size_t i = drainRun(out, n);
+    Mt19937_64 &raw = rng.raw();
+    const bool runs = p.seqRunMean > 1.0;
     while (i < n) {
-        if (runLeft > 0) {
-            // Drain the pending run in one block. Runs draw no RNG,
-            // so this is where batching wins without perturbing the
-            // draw order.
-            auto take = std::size_t(
-                std::min<std::uint64_t>(runLeft, n - i));
-            if (runPage + take < p.footprintPages) {
-                PageId page = runPage;
-                for (std::size_t j = 0; j < take; ++j)
-                    out[i + j] = ++page;
-                runPage = page;
-            } else {
-                for (std::size_t j = 0; j < take; ++j) {
-                    runPage = (runPage + 1) % p.footprintPages;
-                    out[i + j] = runPage;
-                }
-            }
-            runLeft -= take;
-            i += take;
-            continue;
+        // Plan: each run's draws in stream order, while its start page
+        // lands in the batch. The uniforms wait in per-region lists.
+        double hotU[kPlanRuns], coldU[kPlanRuns];
+        std::uint16_t extra[kPlanRuns];
+        bool hot[kPlanRuns];
+        std::size_t planned = 0, nHot = 0, nCold = 0;
+        for (std::size_t at = i; at < n && planned < kPlanRuns;
+             ++planned) {
+            bool h = DrawBound(raw()) < hotBound;
+            double u = Rng::canonical(raw());
+            (h ? hotU[nHot++] : coldU[nCold++]) = u;
+            std::uint64_t len =
+                runs ? raw.runBelow(continueBound, kMaxRunExtra) : 0;
+            hot[planned] = h;
+            extra[planned] = std::uint16_t(len);
+            at += 1 + len;
         }
-        runPage = drawStart();
-        if (p.seqRunMean > 1.0) {
-            double continue_prob = 1.0 - 1.0 / p.seqRunMean;
-            std::uint64_t len = 0;
-            while (rng.bernoulli(continue_prob) && len < 4096)
-                ++len;
-            runLeft = len;
+
+        // Invert: all of the block's ranks, a region at a time.
+        std::uint64_t hotRank[kPlanRuns], coldRank[kPlanRuns];
+        hotDist.rankForUniforms(hotU, hotRank, nHot);
+        coldDist.rankForUniforms(coldU, coldRank, nCold);
+
+        // Emit: hot pages occupy the low ids; Zipf rank 1 is hottest.
+        // The last run may end past the batch and stays pending.
+        nHot = nCold = 0;
+        for (std::size_t r = 0; r < planned; ++r) {
+            runPage = hot[r] ? hotRank[nHot++] - 1
+                             : hotPages + (coldRank[nCold++] - 1);
+            runLeft = extra[r];
+            out[i++] = runPage;
+            i += drainRun(out + i, n - i);
         }
-        out[i++] = runPage;
     }
 }
 
@@ -161,10 +162,8 @@ std::vector<PageId>
 generateTrace(const TraceProfile &profile, std::uint64_t n, Rng rng)
 {
     TraceGenerator gen(profile, rng);
-    std::vector<PageId> out;
-    out.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i)
-        out.push_back(gen.next());
+    std::vector<PageId> out(n);
+    gen.nextBatch(out.data(), out.size());
     return out;
 }
 

@@ -50,39 +50,71 @@ TraceProfile profileFor(workloads::Benchmark b);
 
 /**
  * Streaming generator of page ids following a TraceProfile.
+ *
+ * The stream is a sequence of runs. A run starts at a page drawn from
+ * the hot region (probability hotProb) or the cold one, by a Zipf rank
+ * within the region; when seqRunMean > 1 a geometric number of
+ * following pages (continue probability 1 - 1/seqRunMean, capped at
+ * kMaxRunExtra) continue it sequentially, wrapping at footprintPages.
+ * Each run start takes, in order, the hot/cold draw, the Zipf uniform
+ * and the run-length draws (the last one fails, or the cap is hit).
  */
 class TraceGenerator
 {
   public:
+    /** Most pages a run adds after its start page. */
+    static constexpr std::uint64_t kMaxRunExtra = 4096;
+
     TraceGenerator(TraceProfile profile, Rng rng);
 
-    /** Next page id in [0, footprintPages). */
-    PageId next();
+    /** Next page id in [0, footprintPages); nextBatch of one page. */
+    PageId
+    next()
+    {
+        PageId page;
+        nextBatch(&page, 1);
+        return page;
+    }
 
     /**
      * Fill @p out[0..n) with the next @p n page ids.
      *
-     * Draws the RNG in exactly the same order as @p n scalar next()
-     * calls — the generator state and every subsequent id are
-     * identical whichever way the trace is pulled — but drains
-     * sequential runs in blocks, so batched replay loops avoid the
-     * per-access call and branch overhead.
+     * Works in blocks of up to kPlanRuns runs, in three passes: plan
+     * (take every run's draws in stream order, keeping the Zipf
+     * uniforms uninverted), invert (turn the uniforms into ranks in
+     * bulk, so table misses overlap) and emit (write the pages). A
+     * run is planned only if its start page lands in this batch, so
+     * the generator state after nextBatch(n) is the state after any
+     * other split of the same n pages into batches.
      */
     void nextBatch(PageId *out, std::size_t n);
 
     const TraceProfile &profile() const { return p; }
 
+    /** The draw stream, as far as the pages emitted so far took it. */
+    const Rng &drawStream() const { return rng; }
+
   private:
+    /** Runs planned per block (the size of nextBatch's plan arrays). */
+    static constexpr std::size_t kPlanRuns = 256;
+
+    /** Emit up to @p n pages of the pending run into @p out; returns
+     * how many. */
+    std::size_t drainRun(PageId *out, std::size_t n);
+
     TraceProfile p;
     Rng rng;
     sim::ZipfDist hotDist;
     sim::ZipfDist coldDist;
     std::uint64_t hotPages;
-    // Sequential-run state.
+    /** Raw draws below these pick the hot region / continue a run
+     * (Rng::bernoulliBound of hotProb and of 1 - 1/seqRunMean). */
+    DrawBound hotBound = 0;
+    DrawBound continueBound = 0;
+    // Sequential-run state: the last page emitted and how many of
+    // its run are still to come.
     PageId runPage = 0;
     std::uint64_t runLeft = 0;
-
-    PageId drawStart();
 };
 
 /** Materialize @p n accesses (for tests and offline analysis). */

@@ -528,13 +528,7 @@ lruCurveFromStream(TraceStream &ts)
         std::size_t n = ts.fillPages(buf.data(), kChunk);
         if (n == 0)
             break;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (i + 16 < n)
-                eng.prefetchPage(buf[i + 16]);
-            if (i + 6 < n)
-                eng.prefetchPaths(buf[i + 6]);
-            eng.access(buf[i]);
-        }
+        eng.access(buf.data(), n);
     }
     return eng.finish();
 }

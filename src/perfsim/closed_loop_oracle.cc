@@ -5,8 +5,10 @@
  * This is the seed implementation of the adaptive client driver kept
  * verbatim: requests are nested heap-allocated lambda chains
  * (respond -> net_stage -> disk_stage), and the timeout path tracks
- * each request through a shared_ptr'd ReqCtl whose self-referential
- * std::function keeps it alive. It allocates several times per
+ * each request through a shared_ptr'd ReqCtl that its pending events
+ * keep alive (its own reissue closure holds it only weakly, so a
+ * request still in flight when the run ends is freed with the event
+ * queue instead of leaking). It allocates several times per
  * request, which is exactly why runClosedLoop replaced it with a
  * pooled arena — but it is the simplest possible statement of the
  * driver's semantics, so it stays compiled as the correctness oracle:
@@ -65,8 +67,10 @@ struct ReqCtl {
     bool resolved = false;
     unsigned attempts = 0;
     sim::EventId timeoutEv = 0;
-    /** Re-sends the same request; cleared on resolution to break the
-     * ctl -> closure -> ctl ownership cycle. */
+    /** Re-sends the same request; cleared on resolution. It holds
+     * its ReqCtl weakly: a strong capture would be a ctl -> closure
+     * -> ctl cycle that leaks every request unresolved at the end of
+     * a run. */
     std::function<void()> reissue;
 };
 
@@ -131,7 +135,10 @@ clientLoop(OracleState &s, double think_mean)
         // after maxRetries and return to thinking.
         auto ctl = std::make_shared<ReqCtl>();
         ctl->reissue = [&s, issued, think_mean, cpu_work, disk_service,
-                        net_mb, ctl] {
+                        net_mb, weak = std::weak_ptr<ReqCtl>(ctl)] {
+            // Every caller (the first send below, a backoff event)
+            // holds the ctl, so the lock always succeeds.
+            auto ctl = weak.lock();
             ++ctl->attempts;
             unsigned attempt = ctl->attempts;
             auto respond = [&s, issued, think_mean, ctl, attempt] {

@@ -5,14 +5,8 @@
 #include <cstring>
 #include <map>
 #include <mutex>
-#include <new>
 
 #include "util/logging.hh"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define WSC_HAVE_MMAP 1
-#include <sys/mman.h>
-#endif
 
 namespace wsc {
 namespace sim {
@@ -113,57 +107,14 @@ blockLength(std::uint64_t n, std::size_t b)
                                                n - first));
 }
 
-/**
- * Anonymous private pages: the kernel backs them with the zero page
- * until first written, so only the blocks a table fills become
- * resident, and unmapping returns them at once. (A heap chunk can be
- * recycled memory that calloc zeroes, and so faults, up front; and a
- * table released into the heap can stay resident after it dies.)
- */
-void *
-mapZeroPages(std::size_t bytes)
-{
-#if WSC_HAVE_MMAP
-    void *p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (p == MAP_FAILED)
-        throw std::bad_alloc();
-    return p;
-#else
-    return new unsigned char[bytes]; // default-initialised: untouched
-#endif
-}
-
-void
-unmapZeroPages(void *p, std::size_t bytes)
-{
-#if WSC_HAVE_MMAP
-    ::munmap(p, bytes);
-#else
-    (void)bytes;
-    delete[] static_cast<unsigned char *>(p);
-#endif
-}
-
 } // namespace
 
 ZipfDist::Table::Table(std::shared_ptr<const Skeleton> skeleton)
     : sk(std::move(skeleton)),
-      state(new std::atomic<std::uint8_t>[sk->blockEnd.size()]())
+      state(new std::atomic<std::uint8_t>[sk->blockEnd.size()]()),
+      cdfs(sk->blockEnd.size() * kBlockRanks),
+      hints(sk->blockEnd.size() * kBlockRanks)
 {
-    // Mapped after everything that can throw, so ~Table owns it.
-    std::size_t blocks = sk->blockEnd.size();
-    std::size_t cdfBytes = blocks * kBlockRanks * sizeof(double);
-    mapBytes = cdfBytes + blocks * kBlockRanks * sizeof(std::uint16_t);
-    map = mapZeroPages(mapBytes);
-    cdfs = static_cast<double *>(map);
-    hints = reinterpret_cast<std::uint16_t *>(
-        static_cast<unsigned char *>(map) + cdfBytes);
-}
-
-ZipfDist::Table::~Table()
-{
-    unmapZeroPages(map, mapBytes);
 }
 
 std::uint8_t
@@ -176,7 +127,7 @@ ZipfDist::Table::fill(std::size_t b) const
     // The serial build's loop, resumed at the block's first rank: the
     // same additions in the same order give the same running sums, and
     // the same division by the same norm the same CDF entries.
-    double *c = cdfs + b * kBlockRanks;
+    double *c = cdfs.data() + b * kBlockRanks;
     std::size_t len = blockLength(sk->n, b);
     std::uint64_t first = std::uint64_t(b) * kBlockRanks + 1;
     double acc = b ? sk->blockSum[b - 1] : 0.0;
@@ -207,7 +158,7 @@ ZipfDist::Table::fill(std::size_t b) const
     }
     kind = len == kBlockRanks && slack <= kLinearSlack ? kLinear : kHinted;
     if (kind == kHinted)
-        std::memcpy(hints + b * kBlockRanks, hint, sizeof hint);
+        std::memcpy(hints.data() + b * kBlockRanks, hint, sizeof hint);
     state[b].store(kind, std::memory_order_release);
     return kind;
 }

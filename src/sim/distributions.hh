@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "util/random.hh"
+#include "util/zero_pages.hh"
 
 namespace wsc {
 namespace sim {
@@ -253,6 +254,15 @@ class ZipfDist final : public Distribution
     std::uint64_t rankForUniform(double u) const;
 
     /**
+     * rankForUniform(u[i]) into @p ranks[i] for i < @p n. Looks up
+     * every uniform's table block first and prefetches it, so a batch
+     * of cold-table draws waits on its misses together rather than
+     * one after another.
+     */
+    void rankForUniforms(const double *u, std::uint64_t *ranks,
+                         std::size_t n) const;
+
+    /**
      * P(rank <= k) as the sampler sees it, for k >= 1: a uniform u
      * draws a rank <= k exactly when u <= cdfAt(k), because the
      * inversion returns the first index whose CDF entry reaches u. A
@@ -333,7 +343,6 @@ class ZipfDist::Table
 {
   public:
     explicit Table(std::shared_ptr<const Skeleton> skeleton);
-    ~Table();
     Table(const Table &) = delete;
     Table &operator=(const Table &) = delete;
 
@@ -341,21 +350,32 @@ class ZipfDist::Table
     std::size_t
     indexFor(double u) const
     {
-        std::size_t b = sk->blockGuide.indexFor(sk->blockEnd, u);
-        std::uint8_t kind = state[b].load(std::memory_order_acquire);
-        if (kind == kEmpty)
-            kind = fill(b);
-        const double *c = cdfs + b * kBlockRanks;
-        double lo = b ? sk->blockEnd[b - 1] : 0.0;
-        auto h = std::size_t((u - lo) * sk->bucketScale[b]);
-        if (h >= kBlockRanks)
-            h = kBlockRanks - 1;
-        std::size_t k = kind == kHinted ? hints[b * kBlockRanks + h] : h;
-        while (k > 0 && c[k - 1] >= u)
-            --k;
-        while (c[k] < u)
-            ++k;
-        return b * kBlockRanks + k;
+        std::size_t b = blockFor(u);
+        return b * kBlockRanks + walk(u, b, start(u, b));
+    }
+
+    /**
+     * indexFor(u[i]) into @p out[i] for i < @p n, in two passes: the
+     * first finds every uniform's block (filling it if needed) and
+     * prefetches the CDF line its walk starts on, the second walks.
+     * The table misses of a batch so overlap instead of each one
+     * stalling the caller in turn.
+     */
+    void
+    indicesFor(const double *u, std::uint64_t *out, std::size_t n) const
+    {
+        for (std::size_t i = 0; i < n; ++i) {
+            std::size_t b = blockFor(u[i]);
+            out[i] = b * kBlockRanks + start(u[i], b);
+#if defined(__GNUC__) || defined(__clang__)
+            __builtin_prefetch(cdfs.data() + out[i]);
+#endif
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+            auto b = std::size_t(out[i] / kBlockRanks);
+            out[i] = b * kBlockRanks +
+                     walk(u[i], b, std::size_t(out[i] % kBlockRanks));
+        }
     }
 
     /** cdf[i] = P(rank <= i+1). */
@@ -379,16 +399,51 @@ class ZipfDist::Table
     /** Fill block b (once) and return its state. */
     std::uint8_t fill(std::size_t b) const;
 
+    /** The block holding u's index, filled. */
+    std::size_t
+    blockFor(double u) const
+    {
+        std::size_t b = sk->blockGuide.indexFor(sk->blockEnd, u);
+        if (state[b].load(std::memory_order_acquire) == kEmpty)
+            fill(b);
+        return b;
+    }
+
+    /** Where u's walk starts in its filled block @p b. */
+    std::size_t
+    start(double u, std::size_t b) const
+    {
+        double lo = b ? sk->blockEnd[b - 1] : 0.0;
+        auto h = std::size_t((u - lo) * sk->bucketScale[b]);
+        if (h >= kBlockRanks)
+            h = kBlockRanks - 1;
+        return state[b].load(std::memory_order_relaxed) == kHinted
+                   ? hints[b * kBlockRanks + h]
+                   : h;
+    }
+
+    /** First in-block index of block @p b with cdf >= u, walking from
+     * @p k: back as well as forward, so any start inside the block
+     * gives the exact index. */
+    std::size_t
+    walk(double u, std::size_t b, std::size_t k) const
+    {
+        const double *c = cdfs.data() + b * kBlockRanks;
+        while (k > 0 && c[k - 1] >= u)
+            --k;
+        while (c[k] < u)
+            ++k;
+        return k;
+    }
+
     std::shared_ptr<const Skeleton> sk;
-    /** One anonymous mapping holding cdfs, then hints. */
-    void *map = nullptr;
-    std::size_t mapBytes = 0;
-    /** n entries rounded up to whole blocks (page-aligned blocks);
-     * only filled blocks are ever written. */
-    double *cdfs = nullptr;
-    /** kBlockRanks in-block start indices per hinted block. */
-    std::uint16_t *hints = nullptr;
     std::unique_ptr<std::atomic<std::uint8_t>[]> state;
+    /** n entries rounded up to whole blocks (page-aligned blocks);
+     * only filled blocks are ever written, so only they are
+     * resident. */
+    ZeroPageArray<double> cdfs;
+    /** kBlockRanks in-block start indices per hinted block. */
+    ZeroPageArray<std::uint16_t> hints;
     mutable std::mutex fillMu;
 };
 
@@ -396,6 +451,15 @@ inline std::uint64_t
 ZipfDist::rankForUniform(double u) const
 {
     return std::uint64_t(t->indexFor(u)) + 1;
+}
+
+inline void
+ZipfDist::rankForUniforms(const double *u, std::uint64_t *ranks,
+                          std::size_t n) const
+{
+    t->indicesFor(u, ranks, n);
+    for (std::size_t i = 0; i < n; ++i)
+        ++ranks[i];
 }
 
 /**

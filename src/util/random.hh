@@ -21,6 +21,10 @@
 
 namespace wsc {
 
+/** A bound on raw 64-bit draws, from 0 to 2^64 inclusive: "every
+ * draw is below it" needs the 65th bit. */
+using DrawBound = unsigned __int128;
+
 /**
  * MT19937-64 (Matsumoto and Nishimura): the engine std::mt19937_64
  * specifies, with the same seeding, twist and tempering, so every seed
@@ -53,11 +57,44 @@ class Mt19937_64
     {
         if (p >= kN)
             twist();
-        result_type z = x[p++];
-        z ^= (z >> 29) & 0x5555555555555555ULL;
-        z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
-        z ^= (z << 37) & 0xFFF7EEE000000000ULL;
-        return z ^ (z >> 43);
+        return temper(x[p++]);
+    }
+
+    /**
+     * The length of the run of draws below @p t, capped at @p cap:
+     * what `len = 0; while (engine() < t && len < cap) ++len;` leaves
+     * in len, consuming the same draws. That is the first draw not
+     * below t, or cap + 1 draws when the first cap + 1 all are.
+     * Scans the state array in place, a word per draw, rather than
+     * going through operator() for each.
+     */
+    std::uint64_t
+    runBelow(DrawBound t, std::uint64_t cap)
+    {
+        if (t > max()) { // every draw is below t: the loop hits cap
+            discard(cap + 1);
+            return cap;
+        }
+        auto below = result_type(t);
+        std::uint64_t len = 0;
+        for (;;) {
+            if (p >= kN)
+                twist();
+            std::size_t end =
+                p + std::size_t(std::min<std::uint64_t>(kN - p,
+                                                        cap + 1 - len));
+            for (std::size_t i = p; i < end; ++i) {
+                if (temper(x[i]) >= below) {
+                    len += i - p;
+                    p = i + 1;
+                    return len;
+                }
+            }
+            len += end - p;
+            p = end;
+            if (len > cap)
+                return cap;
+        }
     }
 
     /** Same state, so the same outputs from here on. */
@@ -70,6 +107,28 @@ class Mt19937_64
   private:
     static constexpr std::size_t kN = 312;
     static constexpr std::size_t kM = 156;
+
+    /** Skip @p n draws. */
+    void
+    discard(std::uint64_t n)
+    {
+        while (n > 0) {
+            if (p >= kN)
+                twist();
+            auto step = std::size_t(std::min<std::uint64_t>(kN - p, n));
+            p += step;
+            n -= step;
+        }
+    }
+
+    static result_type
+    temper(result_type z)
+    {
+        z ^= (z >> 29) & 0x5555555555555555ULL;
+        z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+        z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+        return z ^ (z >> 43);
+    }
 
     /** One twisted state word from the upper bit of @p hi, the lower
      * 31 bits of @p lo (the next word) and @p far, the word kM places
@@ -206,6 +265,33 @@ class Rng
     }
 
     /**
+     * T(p): how many 64-bit patterns b have canonical(b) < p. As b
+     * grows canonical(b) never decreases, so bernoulli(p) is true
+     * exactly when its raw draw is below T(p), which lets a caller
+     * test the raw bits without converting them. 0 for p <= 0 or
+     * NaN, 2^64 for p >= 1; otherwise found by binary search.
+     */
+    static DrawBound
+    bernoulliBound(double p)
+    {
+        if (!(p > 0.0))
+            return 0;
+        std::uint64_t lo = 0, hi = ~std::uint64_t(0);
+        if (canonical(hi) < p)
+            return DrawBound(hi) + 1;
+        // canonical(lo) < p <= canonical(hi): find the first b with
+        // canonical(b) >= p.
+        while (hi - lo > 1) {
+            std::uint64_t mid = lo + (hi - lo) / 2;
+            if (canonical(mid) < p)
+                lo = mid;
+            else
+                hi = mid;
+        }
+        return hi;
+    }
+
+    /**
      * Derive an independent child stream. Splitting from a parent keeps
      * experiment-level determinism while decorrelating subsystems.
      *
@@ -244,6 +330,7 @@ class Rng
 
     /** Access the raw engine (for std:: distributions). */
     Mt19937_64 &raw() { return engine; }
+    const Mt19937_64 &raw() const { return engine; }
 
   private:
     Mt19937_64 engine;

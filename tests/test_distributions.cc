@@ -353,6 +353,46 @@ TEST(Zipf, LazyBlocksMatchSerialBuild)
         EXPECT_EQ(mismatches[w], 0u) << "thread " << w;
 }
 
+TEST(Zipf, BatchedRanksMatchScalarRanks)
+{
+    // rankForUniforms against rankForUniform: random uniforms first,
+    // so blocks fill through the batched path, then every block's
+    // last CDF entry with its nextafter neighbours, both ends of
+    // [0, 1), and batches of zero and one.
+    const std::uint64_t sizes[] = {1, 511, 512, 513, 24000, 422401};
+    for (std::uint64_t n : sizes)
+        for (double s : {0.6, 1.1}) {
+            SCOPED_TRACE("n " + std::to_string(n) + " s " +
+                         std::to_string(s));
+            ZipfDist d(n, s);
+            Rng rng(n + 7);
+            std::vector<double> u(20000);
+            for (double &x : u)
+                x = rng.uniform();
+            std::vector<double> edges = {0.0, std::nextafter(1.0, 0.0)};
+            for (std::uint64_t k = ZipfDist::kBlockRanks; k < n;
+                 k += ZipfDist::kBlockRanks)
+                edges.push_back(d.cdfAt(k));
+            edges.push_back(d.cdfAt(n));
+            for (double e : edges)
+                for (double x : {std::nextafter(e, 0.0), e,
+                                 std::nextafter(e, 2.0)})
+                    if (x >= 0.0 && x < 1.0)
+                        u.push_back(x);
+            std::vector<std::uint64_t> ranks(u.size());
+            d.rankForUniforms(u.data(), ranks.data(), u.size());
+            std::uint64_t mismatches = 0;
+            for (std::size_t i = 0; i < u.size(); ++i)
+                mismatches += ranks[i] != d.rankForUniform(u[i]);
+            EXPECT_EQ(mismatches, 0u);
+
+            std::uint64_t one = 0;
+            d.rankForUniforms(u.data(), &one, 1);
+            EXPECT_EQ(one, d.rankForUniform(u[0]));
+            d.rankForUniforms(u.data(), nullptr, 0);
+        }
+}
+
 TEST(Empirical, FrequenciesMatchWeights)
 {
     Rng r(10);

@@ -2,18 +2,21 @@
  * @file
  * Replay-engine correctness: the allocation-free kernels against the
  * legacy policies (the per-access oracle), batched generation against
- * scalar, the stack-distance curve against direct LRU replays, and
- * sharded-replay determinism across thread counts.
+ * the seed's scalar generator, the stack-distance curve against direct
+ * LRU replays, and sharded-replay determinism across thread counts.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <unordered_map>
 
+#include "flashcache/io_trace.hh"
 #include "memblade/replay.hh"
 #include "memblade/stack_distance.hh"
 #include "memblade/trace_io.hh"
+#include "util/logging.hh"
 #include "util/thread_pool.hh"
 
 namespace {
@@ -100,34 +103,137 @@ TEST(ReplayKernels, ReplayTraceMatchesLegacyPath)
     }
 }
 
+/**
+ * The seed's scalar trace generator, kept as the oracle for
+ * TraceGenerator: one page per call, every draw through Rng's
+ * bernoulli and ZipfDist's sampleRank, run lengths by the draw loop.
+ */
+class ScalarTraceGenerator
+{
+  public:
+    ScalarTraceGenerator(const TraceProfile &profile, Rng rng)
+        : p(profile), rng(rng),
+          hotPages(std::uint64_t(double(p.footprintPages) *
+                                 p.hotSetFraction)),
+          hotDist(std::max<std::uint64_t>(1, hotPages), p.zipfS),
+          coldDist(std::max<std::uint64_t>(1, p.footprintPages - hotPages),
+                   p.zipfS)
+    {
+    }
+
+    PageId
+    next()
+    {
+        if (runLeft > 0) {
+            --runLeft;
+            runPage = (runPage + 1) % p.footprintPages;
+            return runPage;
+        }
+        if (rng.bernoulli(p.hotProb))
+            runPage = hotDist.sampleRank(rng) - 1;
+        else
+            runPage = hotPages + (coldDist.sampleRank(rng) - 1);
+        if (p.seqRunMean > 1.0) {
+            double continue_prob = 1.0 - 1.0 / p.seqRunMean;
+            std::uint64_t len = 0;
+            while (rng.bernoulli(continue_prob) && len < 4096)
+                ++len;
+            runLeft = len;
+        }
+        return runPage;
+    }
+
+    const Rng &drawStream() const { return rng; }
+
+  private:
+    TraceProfile p;
+    Rng rng;
+    std::uint64_t hotPages;
+    sim::ZipfDist hotDist;
+    sim::ZipfDist coldDist;
+    PageId runPage = 0;
+    std::uint64_t runLeft = 0;
+};
+
+/** A synthetic profile for the generator's edge cases. */
+TraceProfile
+edgeProfile(std::string name, std::uint64_t footprint, double hotProb,
+            double seqRunMean)
+{
+    TraceProfile p;
+    p.name = std::move(name);
+    p.footprintPages = footprint;
+    p.hotSetFraction = 0.1;
+    p.hotProb = hotProb;
+    p.zipfS = 0.9;
+    p.seqRunMean = seqRunMean;
+    return p;
+}
+
 TEST(TraceBatch, NextBatchMatchesScalarNext)
 {
-    for (auto b : {workloads::Benchmark::Websearch,
-                   workloads::Benchmark::MapredWc}) {
-        auto profile = profileFor(b);
-        SCOPED_TRACE(profile.name);
-        TraceGenerator scalar(profile, Rng(33));
-        TraceGenerator batched(profile, Rng(33));
+    std::vector<TraceProfile> profiles;
+    for (auto b : workloads::allBenchmarks) {
+        profiles.push_back(profileFor(b));
+        profiles.push_back(flashcache::ioProfileFor(b));
+    }
+    // Runs that nearly always reach the 4096-page cap (and every one
+    // of them, when the continue probability rounds to 1), runs that
+    // wrap at the footprint's end, no runs at all, and one region only.
+    profiles.push_back(edgeProfile("cap", 50000, 0.8, 1.0e6));
+    profiles.push_back(edgeProfile("cap-always", 50000, 0.8,
+                                   std::numeric_limits<double>::infinity()));
+    profiles.push_back(edgeProfile("wrap", 1000, 0.5, 50.0));
+    profiles.push_back(edgeProfile("mean-one", 20000, 0.8, 1.0));
+    profiles.push_back(edgeProfile("mean-half", 20000, 0.8, 0.5));
+    profiles.push_back(edgeProfile("mean-zero", 20000, 0.8, 0.0));
+    profiles.push_back(edgeProfile("all-cold", 20000, 0.0, 3.0));
+    profiles.push_back(edgeProfile("all-hot", 20000, 1.0, 3.0));
 
-        // Ragged batch sizes, including 1 and sizes larger than the
-        // longest sequential run, to hit every drain path.
-        const std::size_t sizes[] = {1, 2, 3, 7, 64, 1000, 4096, 5};
-        std::vector<PageId> buf(4096);
-        std::size_t si = 0;
+    // Ragged batch sizes: empty, single pages, sizes that hold more
+    // runs than one plan block (256 runs), and sizes that end runs
+    // part way.
+    const std::size_t sizes[] = {1, 2, 3, 0, 7, 64, 300, 1000, 4096, 5,
+                                 5000, 20000, 4097};
+    std::vector<PageId> buf(20000);
+    for (const auto &profile : profiles) {
+        SCOPED_TRACE(profile.name);
+        ScalarTraceGenerator scalar(profile, Rng(33));
+        TraceGenerator batched(profile, Rng(33));
         std::uint64_t checked = 0;
-        while (checked < 60000) {
-            std::size_t n = sizes[si++ % (sizeof(sizes) /
-                                          sizeof(sizes[0]))];
+        for (std::size_t si = 0; checked < 120000; ++si) {
+            std::size_t n = sizes[si % std::size(sizes)];
             batched.nextBatch(buf.data(), n);
             for (std::size_t i = 0; i < n; ++i)
                 ASSERT_EQ(buf[i], scalar.next())
                     << "at access " << checked + i;
             checked += n;
+            // Both have taken exactly the same draws.
+            ASSERT_TRUE(batched.drawStream().raw() ==
+                        scalar.drawStream().raw())
+                << "after access " << checked;
         }
-        // Both generators must land in the same state: interleave.
+        // And left the same pending run: interleave single pages.
         for (int i = 0; i < 100; ++i)
             ASSERT_EQ(batched.next(), scalar.next());
     }
+}
+
+TEST(TraceBatch, ProfileValidationRejectsBadProbabilities)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    auto make = [](double hotProb, double seqRunMean) {
+        TraceGenerator gen(edgeProfile("bad", 1000, hotProb, seqRunMean),
+                           Rng(1));
+    };
+    EXPECT_THROW(make(-0.1, 2.0), PanicError);
+    EXPECT_THROW(make(1.5, 2.0), PanicError);
+    EXPECT_THROW(make(nan, 2.0), PanicError);
+    EXPECT_THROW(make(0.5, nan), PanicError);
+    EXPECT_THROW(make(0.5, -1.0), PanicError);
+    // The edges themselves are valid.
+    EXPECT_NO_THROW(make(0.0, 0.0));
+    EXPECT_NO_THROW(make(1.0, 1.0));
 }
 
 TEST(StackDistance, CurveMatchesDirectLruReplayEverywhere)
@@ -146,6 +252,23 @@ TEST(StackDistance, CurveMatchesDirectLruReplayEverywhere)
                 curve.statsAt(frames),
                 replayProfile(profile, f, PolicyKind::Lru, n, 13));
         }
+    }
+}
+
+TEST(StackDistance, LongTraceMatchesDirectLruReplay)
+{
+    // Past 2^20 accesses the count structure has five levels, the top
+    // two with 32-bit counts; the curve must still equal direct LRU
+    // replays at every capacity it is asked for.
+    auto profile = edgeProfile("long", 200000, 0.7, 4.0);
+    const std::uint64_t n = (1u << 20) + 150001;
+    auto curve = lruCurveForProfile(profile, n, 29);
+    for (double f : {0.002, 0.02, 0.1, 0.3, 0.7, 1.0}) {
+        SCOPED_TRACE(f);
+        auto frames = std::size_t(
+            std::ceil(double(profile.footprintPages) * f));
+        expectSameStats(curve.statsAt(frames),
+                        replayProfile(profile, f, PolicyKind::Lru, n, 29));
     }
 }
 

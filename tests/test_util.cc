@@ -351,6 +351,73 @@ TEST(Rng, CanonicalMatchesGenerateCanonicalAndClampsBelowOne)
     }
 }
 
+TEST(Rng, BernoulliBoundSplitsRawDrawsAtTheThreshold)
+{
+    // bernoulli(p) is canonical(raw) < p; the bound T(p) turns that
+    // into raw < T(p). Check both sides of the split, T - 1 and T,
+    // and one past it, wherever they are 64-bit patterns.
+    const double ps[] = {0.0, 0x1.0p-64, 0x1.0p-60, 0.25, 0.5,
+                         1.0 / 3.0, 0.8, 0.9375, 1.0 - 0x1.0p-53, 1.0};
+    for (double p : ps) {
+        DrawBound t = Rng::bernoulliBound(p);
+        for (int off : {-1, 0, 1}) {
+            DrawBound b = t + DrawBound(off);
+            if (off < 0 && t == 0)
+                continue;
+            if (b > DrawBound(~std::uint64_t(0)))
+                continue;
+            auto raw = std::uint64_t(b);
+            EXPECT_EQ(b < t, Rng::canonical(raw) < p)
+                << "p " << p << " offset " << off;
+        }
+    }
+    EXPECT_EQ(Rng::bernoulliBound(0.0), DrawBound(0));
+    EXPECT_EQ(Rng::bernoulliBound(-1.0), DrawBound(0));
+    EXPECT_EQ(Rng::bernoulliBound(std::nan("")), DrawBound(0));
+    EXPECT_EQ(Rng::bernoulliBound(0x1.0p-64), DrawBound(1));
+    EXPECT_EQ(Rng::bernoulliBound(1.0), DrawBound(1) << 64);
+    EXPECT_EQ(Rng::bernoulliBound(2.0), DrawBound(1) << 64);
+
+    // Random probabilities and draws agree with bernoulli itself.
+    Rng r(17), ref(17);
+    std::mt19937_64 ps64(3);
+    for (int i = 0; i < 2000; ++i) {
+        double p = Rng::canonical(ps64());
+        DrawBound t = Rng::bernoulliBound(p);
+        for (int j = 0; j < 50; ++j)
+            ASSERT_EQ(DrawBound(r.raw()()) < t, ref.bernoulli(p))
+                << "p " << p;
+    }
+}
+
+TEST(Rng, RunBelowMatchesTheScalarDrawLoop)
+{
+    // Mt19937_64::runBelow against the loop it replaces, run after run
+    // from every offset in the 312-word state block, so runs start,
+    // end and get capped on both sides of a twist.
+    const double ps[] = {0.0, 0.2, 0.5, 0.9, 0.999, 1.0};
+    const std::uint64_t caps[] = {0, 1, 3, 400, 4096};
+    for (double p : ps)
+        for (std::uint64_t cap : caps) {
+            SCOPED_TRACE(testing::Message() << "p " << p << " cap " << cap);
+            DrawBound t = Rng::bernoulliBound(p);
+            Rng fast(5), ref(5);
+            for (int offset = 0; offset < 312; ++offset) {
+                (void)fast.raw()();
+                (void)ref.raw()();
+                for (int run = 0; run < 3; ++run) {
+                    std::uint64_t len = 0;
+                    while (ref.bernoulli(p) && len < cap)
+                        ++len;
+                    ASSERT_EQ(fast.raw().runBelow(t, cap), len)
+                        << "offset " << offset << " run " << run;
+                    ASSERT_TRUE(fast.raw() == ref.raw())
+                        << "offset " << offset << " run " << run;
+                }
+            }
+        }
+}
+
 TEST(Rng, BernoulliFrequency)
 {
     Rng r(13);
