@@ -3,15 +3,18 @@
  * Machine-readable experiment registry.
  *
  * One entry per paper table/figure (and per extension study), mapping
- * the experiment to the bench binary that regenerates it and to the
- * paper's reference values. DESIGN.md and EXPERIMENTS.md narrate this
- * registry; the tests assert it stays complete, so documentation and
- * code cannot silently drift apart.
+ * the experiment to the bench binary that regenerates it, to the
+ * paper's reference values, and to numeric targets: the paper's
+ * claims stated as checkable intervals and orderings over named
+ * values the experiment measures. DESIGN.md and EXPERIMENTS.md narrate
+ * this registry; the tests assert it stays complete, so documentation
+ * and code cannot silently drift apart.
  */
 
 #ifndef WSC_CORE_EXPERIMENTS_HH
 #define WSC_CORE_EXPERIMENTS_HH
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -28,6 +31,65 @@ enum class ExperimentKind {
 
 std::string to_string(ExperimentKind k);
 
+/** Named scalars an experiment measured, each in the unit the paper
+ * states its claim in (percent, X, dollars, watts, ...). */
+using ExperimentValues = std::map<std::string, double>;
+
+/**
+ * One numeric claim of the paper about an experiment's values.
+ *
+ * A Value or Range target reads one key and is met when the value
+ * lies in [lo, hi] (bounds inclusive, either may be infinite); a miss
+ * is recorded, not fatal. An Ordering target reads two or more keys
+ * and holds when their values are strictly descending; a failed
+ * ordering fails the reproduction.
+ */
+struct Target {
+    enum class Kind { Value, Range, Ordering };
+    Kind kind = Kind::Value;
+    std::vector<std::string> keys;
+    double paper = 0.0; //!< the stated value (Value only)
+    double lo = 0.0;
+    double hi = 0.0;
+    /** Why the reproduction departs from the paper here, for targets
+     * known to miss. */
+    std::string note;
+};
+
+/**
+ * An exact paper number: met within half a unit of its last stated
+ * digit (@p decimals after the point; 126% -> [125.5, 126.5]).
+ */
+Target stated(std::string key, double paper, int decimals,
+              std::string note = "");
+
+/** A "~" paper number: met within half its stated step (~1.5X with
+ * step 0.5 -> [1.25, 1.75]; ~10% with step 10 -> [5, 15]). */
+Target approx(std::string key, double paper, double step,
+              std::string note = "");
+
+/** A stated range: met inside [lo, hi]. */
+Target within(std::string key, double lo, double hi,
+              std::string note = "");
+
+/** An ordering claim: @p keys' values strictly descending. */
+Target descending(std::vector<std::string> keys, std::string note = "");
+
+/** The outcome of checking one target against measured values. */
+struct Verdict {
+    std::vector<double> measured; //!< one per target key
+    /**
+     * Value: measured - paper. Range: distance outside [lo, hi]
+     * (negative below, positive above, 0 inside). Ordering: the
+     * smallest gap between neighbours (positive when it holds).
+     */
+    double delta = 0.0;
+    bool pass = false; //!< met (Value/Range) or holds (Ordering)
+};
+
+/** Check @p t against @p values; panics if a key is not present. */
+Verdict judge(const Target &t, const ExperimentValues &values);
+
 /** One experiment in the reproduction. */
 struct ExperimentInfo {
     std::string id;          //!< e.g. "fig2c", "table3b", "sec36"
@@ -37,6 +99,9 @@ struct ExperimentInfo {
     /** One-line summary of the paper's reference values ("" for
      * extensions with no paper counterpart). */
     std::string paperReference;
+    /** The paper's claims as checkable targets (none for
+     * extensions). */
+    std::vector<Target> targets;
 };
 
 /** The full registry, in paper order then extensions. */

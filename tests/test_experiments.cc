@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
+#include <limits>
 #include <set>
 
 #include "core/experiments.hh"
@@ -45,8 +47,9 @@ TEST(Experiments, EveryPaperArtifactRegistered)
 TEST(Experiments, ExtensionsHaveNoPaperReference)
 {
     for (const auto &e : allExperiments()) {
-        if (e.kind == ExperimentKind::Extension)
+        if (e.kind == ExperimentKind::Extension) {
             EXPECT_TRUE(e.paperReference.empty()) << e.id;
+        }
     }
 }
 
@@ -75,6 +78,73 @@ TEST(Experiments, BenchTargetsExistInSourceTree)
         EXPECT_TRUE(fs::exists(bench_dir / (target + ".cc")))
             << target;
     }
+}
+
+TEST(Experiments, EveryPaperArtifactHasATarget)
+{
+    for (const auto &id :
+         {"table1", "fig1a", "fig1b", "table2", "fig2c", "fig3", "fig4b",
+          "fig4c", "table3a", "table3b", "fig5", "sec36", "rackpower",
+          "activity", "tariff"}) {
+        auto *e = findExperiment(id);
+        ASSERT_NE(e, nullptr) << id;
+        EXPECT_FALSE(e->targets.empty()) << id;
+    }
+    for (const auto &e : allExperiments()) {
+        if (e.kind == ExperimentKind::Extension) {
+            EXPECT_TRUE(e.targets.empty()) << e.id;
+        }
+    }
+}
+
+TEST(Experiments, ToleranceFollowsStatedPrecision)
+{
+    auto exact = stated("x", 126, 0);
+    EXPECT_EQ(exact.lo, 125.5);
+    EXPECT_EQ(exact.hi, 126.5);
+    auto dollars = stated("x", 5758, 0);
+    EXPECT_EQ(dollars.hi - dollars.paper, 0.5);
+    auto tilde = approx("x", 1.5, 0.5);
+    EXPECT_EQ(tilde.lo, 1.25);
+    EXPECT_EQ(tilde.hi, 1.75);
+    auto ten = approx("x", 10, 10);
+    EXPECT_EQ(ten.lo, 5.0);
+    EXPECT_EQ(ten.hi, 15.0);
+}
+
+TEST(Experiments, ValueOneUlpOutsideToleranceIsAMiss)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    auto t = stated("x", 126, 0);
+    EXPECT_TRUE(judge(t, {{"x", 126.5}}).pass);
+    EXPECT_TRUE(judge(t, {{"x", 125.5}}).pass);
+    EXPECT_FALSE(judge(t, {{"x", std::nextafter(126.5, inf)}}).pass);
+    EXPECT_FALSE(judge(t, {{"x", std::nextafter(125.5, -inf)}}).pass);
+    EXPECT_FALSE(judge(t, {{"x", std::nan("")}}).pass);
+    EXPECT_DOUBLE_EQ(judge(t, {{"x", 126.25}}).delta, 0.25);
+
+    auto r = within("x", 1.8, 2.0);
+    EXPECT_TRUE(judge(r, {{"x", 2.0}}).pass);
+    auto above = judge(r, {{"x", std::nextafter(2.0, inf)}});
+    EXPECT_FALSE(above.pass);
+    EXPECT_GT(above.delta, 0.0);
+    auto below = judge(r, {{"x", 1.5}});
+    EXPECT_FALSE(below.pass);
+    EXPECT_DOUBLE_EQ(below.delta, -0.3);
+    EXPECT_EQ(judge(r, {{"x", 1.9}}).delta, 0.0);
+    EXPECT_TRUE(judge(within("x", 25, inf), {{"x", 1e300}}).pass);
+}
+
+TEST(Experiments, ReversedOrderingFails)
+{
+    auto t = descending({"a", "b", "c"});
+    auto holds = judge(t, {{"a", 3.0}, {"b", 2.0}, {"c", 0.5}});
+    EXPECT_TRUE(holds.pass);
+    EXPECT_EQ(holds.delta, 1.0);
+    EXPECT_FALSE(judge(t, {{"a", 0.5}, {"b", 2.0}, {"c", 3.0}}).pass);
+    // One swapped pair, and a tie, each fail the whole claim.
+    EXPECT_FALSE(judge(t, {{"a", 3.0}, {"b", 0.5}, {"c", 2.0}}).pass);
+    EXPECT_FALSE(judge(t, {{"a", 3.0}, {"b", 2.0}, {"c", 2.0}}).pass);
 }
 
 TEST(Experiments, KindNamesPrintable)
