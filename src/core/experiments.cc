@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <tuple>
+#include <ostream>
 
+#include "obs/json.hh"
 #include "util/logging.hh"
 
 namespace wsc {
@@ -83,347 +84,6 @@ judge(const Target &t, const ExperimentValues &values)
     return v;
 }
 
-namespace {
-
-// Targets follow the paper's stated precision, fixed before any
-// measurement was compared against them: an exact number is met
-// within half a unit of its last digit, a "~" number within half its
-// stated step, a range inside the range. A target the reproduction
-// misses stays a recorded miss with its reason; it is never widened.
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-const char *const kFig2Systems[] = {"srvr2", "desk", "mobl", "emb1",
-                                    "emb2"};
-const char *const kWorkloads[] = {"websearch", "webmail", "ytube",
-                                  "mapred-wc", "mapred-wr"};
-
-std::vector<Target>
-fig1aTargets()
-{
-    const char *residual =
-        "the paper's published totals round the line items; the burden "
-        "multiplier 1 + K1 + L1(1 + K2) = 3.6636 and the 1 W amortized "
-        "switch share reproduce them to within $3";
-    return {stated("server_hw.srvr1", 3225, 0),
-            stated("server_hw.srvr2", 1620, 0),
-            stated("pc_3yr.srvr1", 2464, 0, residual),
-            stated("pc_3yr.srvr2", 1561, 0, residual),
-            stated("tco.srvr1", 5758, 0, residual),
-            stated("tco.srvr2", 3249, 0, residual)};
-}
-
-std::vector<Target>
-fig1bTargets()
-{
-    std::vector<Target> t;
-    const std::pair<const char *, double> pie[] = {
-        {"CPU HW", 20},   {"CPU P&C", 22},  {"Mem HW", 11},
-        {"Mem P&C", 6},   {"Disk HW", 4},   {"Disk P&C", 2},
-        {"Board HW", 8},  {"Board P&C", 9}, {"Fan HW", 8},
-        {"Fans P&C", 8},  {"Rack HW", 2},   {"Rack P&C", 0}};
-    for (const auto &[slice, pct] : pie)
-        t.push_back(stated(std::string("share.") + slice, pct, 0,
-                           std::string(slice) == "CPU P&C"
-                               ? "$758 of $3,248 is 23.3%; the paper's "
-                                 "pie rounds it down"
-                               : ""));
-    return t;
-}
-
-std::vector<Target>
-table2Targets()
-{
-    std::vector<Target> t;
-    const std::tuple<const char *, double, double> systems[] = {
-        {"srvr1", 340, 3294}, {"srvr2", 215, 1689}, {"desk", 135, 849},
-        {"mobl", 78, 989},    {"emb1", 52, 499},    {"emb2", 35, 379}};
-    for (const auto &[name, watts, inf] : systems) {
-        t.push_back(stated(std::string("watts.") + name, watts, 0));
-        t.push_back(stated(std::string("inf.") + name, inf, 0));
-    }
-    return t;
-}
-
-std::vector<Target>
-fig2cTargets()
-{
-    const double perf[5][5] = {{68, 36, 34, 24, 11},
-                               {48, 19, 17, 11, 5},
-                               {97, 92, 95, 86, 24},
-                               {93, 78, 72, 51, 12},
-                               {72, 70, 54, 48, 16}};
-    const double hmean_tco[5] = {126, 132, 140, 192, 95};
-    const std::string webmail_emb2 =
-        "the QoS model leaves large-attachment requests essentially "
-        "unable to meet the 0.8 s bound on a 600 MHz in-order core, "
-        "collapsing sustainable throughput; this amplifies the paper's "
-        "own conclusion that emb2 consistently underperforms";
-    std::vector<Target> t;
-    for (int w = 0; w < 5; ++w)
-        for (int s = 0; s < 5; ++s) {
-            std::string note;
-            if (w == 1 && s == 4)
-                note = webmail_emb2;
-            if (w == 4 && s == 2)
-                note = "the paper's mobl value is low given desk = 70% "
-                       "on the same disk; the model makes mobl and desk "
-                       "disk-bound and therefore nearly equal";
-            t.push_back(stated(std::string("Perf.") + kWorkloads[w] +
-                                   "." + kFig2Systems[s],
-                               perf[w][s], 0, note));
-        }
-    for (int s = 0; s < 5; ++s) {
-        std::string note;
-        if (s == 3)
-            note = "driven by the webmail cell (55% Perf/TCO-$)";
-        if (s == 4)
-            note = "dragged down by the webmail cell: " + webmail_emb2;
-        t.push_back(stated(std::string("Perf/TCO-$.HMean.") +
-                               kFig2Systems[s],
-                           hmean_tco[s], 0, note));
-    }
-    t.push_back(descending(
-        {"Perf/TCO-$.HMean.emb1", "Perf/TCO-$.HMean.mobl",
-         "Perf/TCO-$.HMean.desk", "Perf/TCO-$.HMean.srvr2",
-         "Perf/TCO-$.HMean.srvr1", "Perf/TCO-$.HMean.emb2"}));
-    return t;
-}
-
-std::vector<Target>
-fig4bTargets()
-{
-    const double pcie[5] = {4.7, 0.2, 1.4, 0.7, 0.7};
-    const double cbf[5] = {1.2, 0.1, 0.4, 0.2, 0.2};
-    std::vector<Target> t;
-    for (int w = 0; w < 5; ++w)
-        t.push_back(stated(std::string("pcie_x4@25%.") + kWorkloads[w],
-                           pcie[w], 1));
-    for (int w = 0; w < 5; ++w)
-        t.push_back(stated(
-            std::string("cbf@25%.") + kWorkloads[w], cbf[w], 1,
-            "the model's CBF stall scales the 4 us fetch by exactly "
-            "0.5/4; the paper's column scales by ~1/4, consistent with "
-            "its text quoting 0.75 us including DMA setup (the "
-            "CBF+setup row)"));
-    t.push_back(approx("pcie_x4@12.5%.websearch", 10, 10));
-    return t;
-}
-
-std::vector<Target>
-table3bTargets()
-{
-    const std::string milder =
-        "the disk-bound mapreduce jobs take the 20 MB/s remote disk at "
-        "face value and the flash cache cannot help their streaming "
-        "access (hit rate 35% for wc), so the mean perf penalty is "
-        "larger than the paper's; the paper gives no per-workload "
-        "breakdown to locate its milder penalty";
-    std::vector<Target> t;
-    const std::tuple<const char *, double, double, double> rows[] = {
-        {"Remote Laptop", 93, 100, 96},
-        {"Remote Laptop + Flash", 99, 109, 104},
-        {"Remote Laptop-2 + Flash", 110, 109, 110}};
-    for (const auto &[opt, inf, watt, tco] : rows) {
-        t.push_back(stated(std::string("Perf/Inf-$.") + opt, inf, 0,
-                           milder));
-        t.push_back(stated(std::string("Perf/Watt.") + opt, watt, 0,
-                           milder));
-        t.push_back(stated(std::string("Perf/TCO-$.") + opt, tco, 0,
-                           milder));
-    }
-    t.push_back(descending({"Perf/TCO-$.Remote Laptop-2 + Flash",
-                            "Perf/TCO-$.Remote Laptop + Flash",
-                            "Perf/TCO-$.Remote Laptop"}));
-    return t;
-}
-
-std::vector<Target>
-fig5Targets()
-{
-    auto n2_note = [](const std::string &w) -> std::string {
-        return w == "ytube"
-                   ? "the flash cache serves streaming video unusually "
-                     "well on the NIC-bound platform"
-                   : "the 20 MB/s remote disk throttles the batch jobs "
-                     "(the same cause as Table 3(b))";
-    };
-    std::vector<Target> t{approx("Perf/TCO-$.HMean.N1", 1.5, 0.5),
-                          approx("Perf/TCO-$.HMean.N2", 2.0, 1.0)};
-    for (std::string w : {"ytube", "mapred-wc", "mapred-wr"}) {
-        t.push_back(within("Perf/TCO-$." + w + ".N1", 2.0, 3.5));
-        t.push_back(within("Perf/TCO-$." + w + ".N2", 3.5, 6.0,
-                           n2_note(w)));
-    }
-    t.push_back(within("Perf/TCO-$.websearch.N1", 1.1, 1.7));
-    // "webmail degrades (~40% N1, ~20% N2)", step 10 points.
-    t.push_back(approx("Perf/TCO-$.webmail.N1", 0.6, 0.1));
-    t.push_back(approx("Perf/TCO-$.webmail.N2", 0.8, 0.1));
-    // Section 3.6: N2 against the srvr2 and desk baselines.
-    for (std::string base : {"srvr2", "desk"}) {
-        std::string pre = "vs-" + base + ".Perf/TCO-$.";
-        bool desk = base == "desk";
-        t.push_back(within(pre + "HMean.N2", 1.8, 2.0));
-        for (std::string w : {"ytube", "mapred-wc", "mapred-wr"})
-            t.push_back(within(pre + w + ".N2", desk ? 1.7 : 2.5,
-                               desk ? 2.5 : 4.1, n2_note(w)));
-    }
-    t.push_back(descending({"Perf/TCO-$.HMean.N2", "Perf/TCO-$.HMean.N1",
-                            "Perf/TCO-$.HMean.srvr2"}));
-    return t;
-}
-
-/** emb1 beats srvr1 on Perf/TCO-$ (mapred-wc) at every sweep point:
- * the paper's "qualitatively similar" across a parameter range. */
-std::vector<Target>
-embeddedWinsAt(const std::vector<std::string> &points)
-{
-    std::vector<Target> t;
-    for (const auto &p : points)
-        t.push_back(descending({"Perf/TCO-$.emb1@" + p,
-                                "Perf/TCO-$.srvr1@" + p}));
-    return t;
-}
-
-} // namespace
-
-const std::vector<ExperimentInfo> &
-allExperiments()
-{
-    static const std::vector<ExperimentInfo> registry = {
-        {"table1", ExperimentKind::PaperTable,
-         "Benchmark suite for the internet sector", "bench_table1",
-         "websearch/webmail/ytube (RPS w/ QoS), mapreduce (exec time)",
-         {stated("qos_quantile.websearch", 95, 0),
-          stated("qos_limit_s.websearch", 0.5, 1),
-          stated("qos_quantile.webmail", 95, 0),
-          stated("qos_limit_s.webmail", 0.8, 1)}},
-        {"fig1a", ExperimentKind::PaperFigure,
-         "Cost model line items for srvr1/srvr2", "bench_fig1",
-         "totals $5,758 / $3,249; P&C $2,464 / $1,561", fig1aTargets()},
-        {"fig1b", ExperimentKind::PaperFigure,
-         "srvr2 TCO breakdown pie", "bench_fig1",
-         "CPU HW 20%, CPU P&C 22%, Mem HW 11%, ...", fig1bTargets()},
-        {"table2", ExperimentKind::PaperTable,
-         "The six systems considered", "bench_table2",
-         "340W/$3,294 down to 35W/$379", table2Targets()},
-        {"fig2ab", ExperimentKind::PaperFigure,
-         "Inf-$ and P&C-$ breakdowns across systems", "bench_fig2",
-         "stacked per-component bars",
-         {descending({"inf.srvr1", "inf.srvr2", "inf.mobl", "inf.desk",
-                      "inf.emb1", "inf.emb2"}),
-          descending({"pc.srvr1", "pc.srvr2", "pc.desk", "pc.mobl",
-                      "pc.emb1", "pc.emb2"})}},
-        {"fig2c", ExperimentKind::PaperFigure,
-         "Perf and efficiency matrix vs srvr1", "bench_fig2",
-         "Perf/TCO-$ HMean 126/132/140/192/95%", fig2cTargets()},
-        {"fig3", ExperimentKind::PaperFigure,
-         "Dual-entry and aggregated cooling designs", "bench_fig3",
-         "~2X and ~4X gains; 40/320/~1250 systems per rack",
-         {approx("gain.dual-entry", 2, 1),
-          approx("gain.aggregated-microblade", 4, 1),
-          stated("systems_per_rack.conventional-1U", 40, 0),
-          stated("systems_per_rack.dual-entry", 320, 0),
-          approx("systems_per_rack.aggregated-microblade", 1250, 50),
-          stated("watts_per_server.dual-entry", 75, 0),
-          within("module_max_w.heat_pipe", 25, kInf)}},
-        {"fig4b", ExperimentKind::PaperFigure,
-         "Two-level memory slowdowns", "bench_fig4",
-         "PCIe x4 at 25% local: 4.7/0.2/1.4/0.7/0.7%", fig4bTargets()},
-        {"fig4c", ExperimentKind::PaperFigure,
-         "Memory-sharing provisioning economics", "bench_fig4",
-         "static 102/116/108%; dynamic 106/116/111%",
-         {stated("Perf/Inf-$.static", 102, 0),
-          stated("Perf/W.static", 116, 0),
-          stated("Perf/TCO-$.static", 108, 0),
-          stated("Perf/Inf-$.dynamic", 106, 0),
-          stated("Perf/W.dynamic", 116, 0),
-          stated("Perf/TCO-$.dynamic", 111, 0),
-          descending({"Perf/TCO-$.dynamic", "Perf/TCO-$.static"})}},
-        {"table3a", ExperimentKind::PaperTable,
-         "Flash and disk parameters", "bench_table3",
-         "flash 1GB/$14/0.5W; laptop 20MB/s/$80; desktop 70MB/s/$120",
-         {stated("capacity_gb.flash", 1, 0),
-          stated("price.flash", 14, 0), stated("watts.flash", 0.5, 1),
-          stated("bandwidth_mbs.laptop", 20, 0),
-          stated("price.laptop", 80, 0),
-          stated("bandwidth_mbs.desktop", 70, 0),
-          stated("price.desktop", 120, 0)}},
-        {"table3b", ExperimentKind::PaperTable,
-         "Storage-option efficiencies on emb1", "bench_table3",
-         "laptop 93/100/96%; +flash 99/109/104%; laptop-2 110/109/110%",
-         table3bTargets()},
-        {"fig5", ExperimentKind::PaperFigure,
-         "Unified designs N1/N2 vs srvr1", "bench_fig5",
-         "HMean Perf/TCO-$ ~1.5X (N1) and ~2X (N2)", fig5Targets()},
-        {"sec36", ExperimentKind::PaperClaim,
-         "Equal-performance restatement of N2", "bench_sec36",
-         "~60% less power, ~55% lower cost, fewer racks",
-         // "N2 gets a 60% reduction in power, and 55% reduction in
-         // overall costs, and consumes 30% less racks"
-         {stated("power_cut.N2", 60, 0),
-          stated("cost_cut.N2", 55, 0),
-          stated("rack_cut.N2", 30, 0,
-                 "the packaging model packs micro-blades far denser "
-                 "(1248 per rack) than the paper's conservative "
-                 "4-blades-per-blade, air-cooled assumption")}},
-        {"rackpower", ExperimentKind::PaperClaim,
-         "Rack power comparison", "bench_fig3",
-         "srvr1 13.6 kW/rack vs emb1 ~2.7 kW/rack",
-         {stated("rack_kw.srvr1", 13.6, 1),
-          approx("rack_kw.emb1", 2.7, 0.1,
-                 "2.7 kW implies 67.5 W per server, inconsistent with "
-                 "the paper's own 52 W Table 2 entry, which the model "
-                 "reproduces")}},
-        // Sensitivity studies the paper describes.
-        {"activity", ExperimentKind::PaperClaim,
-         "Activity-factor sensitivity", "bench_ablation_activity",
-         "0.5-1.0 'qualitatively similar'",
-         embeddedWinsAt({"0.500", "0.625", "0.750", "0.875", "1.000"})},
-        {"tariff", ExperimentKind::PaperClaim,
-         "Electricity-tariff range", "bench_ablation_tariff",
-         "$50-$170/MWh",
-         embeddedWinsAt({"$50", "$80", "$100", "$135", "$170"})},
-        // Extensions (paper future work / stated caveats).
-        {"localmem", ExperimentKind::Extension,
-         "Local-fraction x replacement-policy sweep",
-         "bench_ablation_localmem", "", {}},
-        {"flash-sweep", ExperimentKind::Extension,
-         "Flash capacity and wear sweep", "bench_ablation_flash", "",
-         {}},
-        {"driver", ExperimentKind::Extension,
-         "Open-loop vs adaptive closed-loop measurement",
-         "bench_ablation_driver", "", {}},
-        {"contention", ExperimentKind::Extension,
-         "Blade PCIe link contention (M/D/1)",
-         "bench_ablation_contention", "", {}},
-        {"content", ExperimentKind::Extension,
-         "Page sharing + compression on the blade",
-         "bench_ablation_content", "", {}},
-        {"scaleout", ExperimentKind::Extension,
-         "USL scale-out limits", "bench_ablation_scaleout", "", {}},
-        {"diurnal", ExperimentKind::Extension,
-         "Time-of-day load and power policies",
-         "bench_ablation_diurnal", "", {}},
-        {"dispatch", ExperimentKind::Extension,
-         "Cluster dispatch scaling", "bench_ablation_dispatch", "", {}},
-        {"calibration", ExperimentKind::Extension,
-         "Calibration robustness", "bench_ablation_calibration", "",
-         {}},
-        {"facility", ExperimentKind::Extension,
-         "Facility-derived K1/L1/K2", "bench_ablation_facility", "",
-         {}},
-        {"mix", ExperimentKind::Extension,
-         "Workload-mix recommendations + hybrid blade", "bench_mix", "",
-         {}},
-        {"design-space", ExperimentKind::Extension,
-         "216-design Pareto frontier", "bench_design_space", "", {}},
-        {"kernel", ExperimentKind::Extension,
-         "Simulation-kernel microbenchmarks", "bench_kernel", "", {}},
-    };
-    return registry;
-}
-
 const ExperimentInfo *
 findExperiment(const std::string &id)
 {
@@ -433,15 +93,76 @@ findExperiment(const std::string &id)
     return nullptr;
 }
 
-std::vector<std::string>
-registeredBenchTargets()
+int
+reproduce(const std::vector<const ExperimentInfo *> &experiments,
+          std::ostream &os, std::ostream &json)
 {
-    std::vector<std::string> out;
-    for (const auto &e : allExperiments())
-        out.push_back(e.benchTarget);
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-    return out;
+    obs::JsonWriter w;
+    w.beginObject().key("schema_version").value(std::uint64_t(1));
+    w.key("experiments").beginArray();
+    std::uint64_t met = 0, missed = 0, holds = 0, fails = 0;
+    for (const auto *e : experiments) {
+        os << "=== " << e->id << " (" << to_string(e->kind)
+           << "): " << e->title << " ===\n\n";
+        auto out = e->run();
+        for (const auto &ct : out.tables) {
+            if (!ct.caption.empty())
+                os << ct.caption << "\n";
+            ct.table.print(os);
+            os << "\n";
+        }
+        if (!e->targets.empty())
+            os << "Targets (paper: " << e->paperReference << "):\n";
+
+        w.beginObject().key("id").value(e->id);
+        w.key("kind").value(to_string(e->kind));
+        w.key("targets").beginArray();
+        for (const auto &t : e->targets) {
+            auto v = judge(t, out.values);
+            bool ordering = t.kind == Target::Kind::Ordering;
+            const char *verdict = ordering ? (v.pass ? "holds" : "fails")
+                                           : (v.pass ? "met" : "missed");
+            ++(ordering ? (v.pass ? holds : fails)
+                        : (v.pass ? met : missed));
+            os << "  " << verdict << "\t";
+            for (std::size_t i = 0; i < t.keys.size(); ++i)
+                os << (i ? " > " : "") << t.keys[i] << " " << v.measured[i];
+            if (!ordering)
+                os << " (paper [" << t.lo << ", " << t.hi << "])";
+            os << "\n";
+
+            w.beginObject().key("keys").beginArray();
+            for (const auto &k : t.keys)
+                w.value(k);
+            w.endArray();
+            if (t.kind == Target::Kind::Value)
+                w.key("paper").value(t.paper);
+            if (!ordering)
+                w.key("lo").value(t.lo).key("hi").value(t.hi);
+            w.key("measured").beginArray();
+            for (double x : v.measured)
+                w.value(x);
+            w.endArray();
+            w.key("delta").value(v.delta);
+            w.key("verdict").value(verdict);
+            if (!t.note.empty())
+                w.key("note").value(t.note);
+            w.endObject();
+        }
+        w.endArray().endObject();
+        if (!e->targets.empty())
+            os << "\n";
+    }
+    w.endArray();
+    w.key("summary").beginObject();
+    w.key("met").value(met).key("missed").value(missed);
+    w.key("orderings_hold").value(holds).key("orderings_fail").value(fails);
+    w.endObject().endObject();
+    json << w.str() << "\n";
+
+    os << "Targets: " << met << " met, " << missed << " missed; "
+       << "orderings: " << holds << " hold, " << fails << " fail\n";
+    return fails > 0 ? 1 : 0;
 }
 
 } // namespace core

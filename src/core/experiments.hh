@@ -2,21 +2,24 @@
  * @file
  * Machine-readable experiment registry.
  *
- * One entry per paper table/figure (and per extension study), mapping
- * the experiment to the bench binary that regenerates it, to the
- * paper's reference values, and to numeric targets: the paper's
- * claims stated as checkable intervals and orderings over named
- * values the experiment measures. DESIGN.md and EXPERIMENTS.md narrate
- * this registry; the tests assert it stays complete, so documentation
- * and code cannot silently drift apart.
+ * One entry per paper table/figure (and per extension study): a run
+ * that regenerates its tables and measures named values, and numeric
+ * targets that state the paper's claims as checkable intervals and
+ * orderings over those values. wsc_reproduce runs the registry and
+ * writes the verdicts to REPRO.json, which CI compares against the
+ * committed record, so a drifting reproduced number fails a check.
  */
 
 #ifndef WSC_CORE_EXPERIMENTS_HH
 #define WSC_CORE_EXPERIMENTS_HH
 
+#include <deque>
+#include <iosfwd>
 #include <map>
 #include <string>
 #include <vector>
+
+#include "util/table.hh"
 
 namespace wsc {
 namespace core {
@@ -90,15 +93,42 @@ struct Verdict {
 /** Check @p t against @p values; panics if a key is not present. */
 Verdict judge(const Target &t, const ExperimentValues &values);
 
+/** One printed block of an experiment: a caption (may be empty) and
+ * its table. */
+struct CaptionedTable {
+    std::string caption;
+    Table table;
+};
+
+/** What an experiment's run produces. */
+struct ExperimentOutput {
+    /** Printed in order; a deque, so table() references stay valid
+     * while later tables are added. */
+    std::deque<CaptionedTable> tables;
+    ExperimentValues values; //!< every key the targets read
+
+    /** Append an empty table under @p caption and return it. */
+    Table &
+    table(std::string caption, std::vector<std::string> header)
+    {
+        return tables
+            .emplace_back(CaptionedTable{std::move(caption),
+                                         Table(std::move(header))})
+            .table;
+    }
+};
+
 /** One experiment in the reproduction. */
 struct ExperimentInfo {
     std::string id;          //!< e.g. "fig2c", "table3b", "sec36"
     ExperimentKind kind;
     std::string title;       //!< what the paper shows
-    std::string benchTarget; //!< binary under build/bench/
     /** One-line summary of the paper's reference values ("" for
      * extensions with no paper counterpart). */
     std::string paperReference;
+    /** Runs the experiment (deterministic seeds); building the
+     * registry runs nothing. */
+    ExperimentOutput (*run)();
     /** The paper's claims as checkable targets (none for
      * extensions). */
     std::vector<Target> targets;
@@ -110,8 +140,15 @@ const std::vector<ExperimentInfo> &allExperiments();
 /** Look up by id; null when absent. */
 const ExperimentInfo *findExperiment(const std::string &id);
 
-/** Distinct bench targets the registry references. */
-std::vector<std::string> registeredBenchTargets();
+/**
+ * Run @p experiments in order, print each one's tables and target
+ * verdicts to @p os, and write the REPRO document (per target: paper
+ * value or interval, measured values, delta, verdict) to @p json.
+ * Returns the exit status: 1 when any ordering claim fails, else 0.
+ * A value outside its tolerance is a recorded miss, not a failure.
+ */
+int reproduce(const std::vector<const ExperimentInfo *> &experiments,
+              std::ostream &os, std::ostream &json);
 
 } // namespace core
 } // namespace wsc

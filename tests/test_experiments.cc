@@ -1,15 +1,19 @@
 /**
  * @file
- * Tests keeping the experiment registry complete and consistent with
- * the bench tree.
+ * Tests keeping the experiment registry complete, its targets readable,
+ * and the verdict rules (and wsc_reproduce's exit status) honest.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cmath>
-#include <filesystem>
+#include <cstdlib>
+#include <fstream>
 #include <limits>
 #include <set>
+#include <sstream>
 
 #include "core/experiments.hh"
 
@@ -26,7 +30,7 @@ TEST(Experiments, RegistryNonEmptyAndUnique)
     for (const auto &e : all) {
         EXPECT_FALSE(e.id.empty());
         EXPECT_FALSE(e.title.empty());
-        EXPECT_FALSE(e.benchTarget.empty());
+        EXPECT_NE(e.run, nullptr) << e.id;
         ids.insert(e.id);
     }
     EXPECT_EQ(ids.size(), all.size()) << "duplicate experiment ids";
@@ -58,28 +62,6 @@ TEST(Experiments, LookupMissReturnsNull)
     EXPECT_EQ(findExperiment("nonexistent"), nullptr);
 }
 
-TEST(Experiments, BenchTargetsExistInSourceTree)
-{
-    // Every registered bench target must have a source file under
-    // bench/ — the registry cannot reference binaries that are not
-    // built.
-    namespace fs = std::filesystem;
-    fs::path bench_dir;
-    for (auto candidate : {"bench", "../bench", "../../bench",
-                           "/root/repo/bench"}) {
-        if (fs::exists(fs::path(candidate) / "bench_fig1.cc")) {
-            bench_dir = candidate;
-            break;
-        }
-    }
-    if (bench_dir.empty())
-        GTEST_SKIP() << "bench sources not reachable from test cwd";
-    for (const auto &target : registeredBenchTargets()) {
-        EXPECT_TRUE(fs::exists(bench_dir / (target + ".cc")))
-            << target;
-    }
-}
-
 TEST(Experiments, EveryPaperArtifactHasATarget)
 {
     for (const auto &id :
@@ -94,6 +76,20 @@ TEST(Experiments, EveryPaperArtifactHasATarget)
         if (e.kind == ExperimentKind::Extension) {
             EXPECT_TRUE(e.targets.empty()) << e.id;
         }
+    }
+}
+
+TEST(Experiments, EveryTargetReadsAProducedValue)
+{
+    for (const auto &e : allExperiments()) {
+        if (e.targets.empty())
+            continue;
+        auto out = e.run();
+        EXPECT_FALSE(out.tables.empty()) << e.id;
+        for (const auto &t : e.targets)
+            for (const auto &key : t.keys)
+                EXPECT_EQ(out.values.count(key), 1u)
+                    << e.id << " target reads unproduced '" << key << "'";
     }
 }
 
@@ -145,6 +141,53 @@ TEST(Experiments, ReversedOrderingFails)
     // One swapped pair, and a tie, each fail the whole claim.
     EXPECT_FALSE(judge(t, {{"a", 3.0}, {"b", 0.5}, {"c", 2.0}}).pass);
     EXPECT_FALSE(judge(t, {{"a", 3.0}, {"b", 2.0}, {"c", 2.0}}).pass);
+}
+
+ExperimentOutput
+fakeRun()
+{
+    ExperimentOutput out;
+    Table t({"Key", "Value"});
+    t.addRow({"a", "1"});
+    out.tables.push_back({"", std::move(t)});
+    out.values = {{"a", 1.0}, {"b", 2.0}};
+    return out;
+}
+
+TEST(Experiments, ReproduceExitsOneWhenAnOrderingFails)
+{
+    ExperimentInfo missing{"fake-miss", ExperimentKind::PaperClaim,
+                           "a missed value", "a = 5", fakeRun,
+                           {stated("a", 5, 0), descending({"b", "a"})}};
+    ExperimentInfo reversed{"fake-order", ExperimentKind::PaperClaim,
+                            "a reversed ordering", "a > b", fakeRun,
+                            {descending({"a", "b"})}};
+    std::ostringstream os, json;
+    // A value outside its tolerance is recorded, not fatal.
+    EXPECT_EQ(reproduce({&missing}, os, json), 0);
+    EXPECT_NE(json.str().find("\"missed\""), std::string::npos);
+    EXPECT_NE(os.str().find("| a   |     1 |"), std::string::npos)
+        << os.str();
+    std::ostringstream os2, json2;
+    EXPECT_EQ(reproduce({&missing, &reversed}, os2, json2), 1);
+    EXPECT_NE(json2.str().find("\"fails\""), std::string::npos);
+}
+
+TEST(Experiments, ReproduceRejectsUnknownId)
+{
+    std::string dir = testing::TempDir();
+    std::string err = dir + "wsc_reproduce_nosuch.err";
+    std::string cmd = std::string(WSC_REPRODUCE) + " --id nosuch --out " +
+                      dir + "wsc_reproduce_nosuch.json 2> " + err;
+    int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 1);
+    std::ifstream in(err);
+    std::stringstream text;
+    text << in.rdbuf();
+    EXPECT_NE(text.str().find("unknown experiment id 'nosuch'"),
+              std::string::npos)
+        << text.str();
 }
 
 TEST(Experiments, KindNamesPrintable)
