@@ -69,10 +69,12 @@ judge(const Target &t, const ExperimentValues &values)
     }
     if (t.kind == Target::Kind::Ordering) {
         v.delta = std::numeric_limits<double>::infinity();
-        for (std::size_t i = 1; i < v.measured.size(); ++i)
-            v.delta = std::min(v.delta,
-                               v.measured[i - 1] - v.measured[i]);
-        v.pass = v.delta > 0.0;
+        v.pass = true;
+        for (std::size_t i = 1; i < v.measured.size(); ++i) {
+            double gap = v.measured[i - 1] - v.measured[i];
+            v.pass = v.pass && gap > 0.0; // false for NaN
+            v.delta = std::min(v.delta, gap);
+        }
         return v;
     }
     double x = v.measured.front();

@@ -141,6 +141,8 @@ TEST(Experiments, ReversedOrderingFails)
     // One swapped pair, and a tie, each fail the whole claim.
     EXPECT_FALSE(judge(t, {{"a", 3.0}, {"b", 0.5}, {"c", 2.0}}).pass);
     EXPECT_FALSE(judge(t, {{"a", 3.0}, {"b", 2.0}, {"c", 2.0}}).pass);
+    EXPECT_FALSE(
+        judge(t, {{"a", 3.0}, {"b", std::nan("")}, {"c", 2.0}}).pass);
 }
 
 ExperimentOutput
