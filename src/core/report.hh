@@ -1,6 +1,6 @@
 /**
  * @file
- * Paper-style report formatting for the bench harnesses.
+ * Paper-style report formatting for the experiment registry's runs.
  *
  * Renders the Figure 2(c)/4(c)/5-style tables: one row per workload,
  * one column per design, cells as percentages of the baseline, with a

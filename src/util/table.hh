@@ -1,8 +1,8 @@
 /**
  * @file
- * ASCII table formatting for bench harness output.
+ * ASCII table formatting for the reproduction's and the tools' output.
  *
- * The bench binaries regenerate the paper's tables; this writer renders
+ * wsc_reproduce regenerates the paper's tables; this writer renders
  * rows with aligned columns so the output reads like the published
  * tables. It also supports CSV emission for downstream plotting.
  */
