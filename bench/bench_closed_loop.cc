@@ -1,7 +1,8 @@
 /**
  * @file
- * Closed-loop driver throughput: the seed lambda-chain driver (kept
- * compiled as runClosedLoopOracle) vs the pooled request-arena driver
+ * Closed-loop driver throughput: the seed lambda-chain driver
+ * (runClosedLoopOracle, from the wsc_oracles test library) vs the
+ * pooled request-arena driver
  * (runClosedLoop), across the interactive workloads with both the
  * classic and the timeout/retry client protocols.
  *
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "harness.hh"
+#include "oracles/closed_loop_oracle.hh"
 #include "perfsim/closed_loop.hh"
 #include "perfsim/perf_eval.hh"
 #include "platform/catalog.hh"

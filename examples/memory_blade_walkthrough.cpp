@@ -16,7 +16,7 @@
 
 #include "memblade/blade.hh"
 #include "memblade/latency.hh"
-#include "memblade/two_level.hh"
+#include "memblade/replay.hh"
 #include "platform/catalog.hh"
 #include "util/table.hh"
 

@@ -18,7 +18,7 @@
 
 #include "memblade/blade.hh"
 #include "memblade/latency.hh"
-#include "memblade/two_level.hh"
+#include "memblade/replay.hh"
 
 namespace wsc {
 namespace memblade {

@@ -21,8 +21,8 @@
 
 #include <string>
 
+#include "memblade/replay.hh"
 #include "memblade/trace.hh"
-#include "memblade/two_level.hh"
 
 namespace wsc {
 namespace memblade {

@@ -7,7 +7,8 @@
  * random (Section 3.4); modern tiered-memory and flash-cache stacks
  * ship adaptive policies instead, so the zoo lets the memory-blade and
  * remote-disk studies ask whether the 2008 conclusions survive better
- * replacement. Each policy comes in two forms, the PR-4 oracle idiom:
+ * replacement. Each policy comes in two forms, the replay.hh oracle
+ * idiom:
  *
  *  - a *reference* per-access implementation (ReplacementPolicy
  *    subclass over std::list/unordered_map, readable and obviously

@@ -210,6 +210,26 @@ replayPages(const PageId *pages, std::size_t n, PolicyKind kind,
 }
 
 ReplayStats
+replayProfile(const TraceProfile &profile, double localFraction,
+              PolicyKind kind, std::uint64_t accesses,
+              std::uint64_t seed)
+{
+    WSC_ASSERT(localFraction > 0.0 && localFraction <= 1.0,
+               "local fraction out of (0, 1]");
+    auto frames = std::size_t(
+        std::ceil(double(profile.footprintPages) * localFraction));
+    // Same Rng derivation as the TwoLevelMemory oracle replay that
+    // test_replay checks this against, so results stay bit-identical
+    // for any (profile, fraction, seed).
+    Rng rng(seed);
+    Rng kernel_rng = rng.split();
+    TraceGenerator gen(profile, rng.split());
+    return replayWindowed(gen, kind, frames, profile.footprintPages,
+                          accesses, 0, kernel_rng)
+        .total;
+}
+
+ReplayStats
 shardedReplayProfile(const TraceProfile &profile, double localFraction,
                      PolicyKind kind, std::uint64_t accesses,
                      std::uint64_t seed, unsigned shards,

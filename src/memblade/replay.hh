@@ -42,7 +42,6 @@
 
 #include "memblade/replacement.hh"
 #include "memblade/trace.hh"
-#include "memblade/two_level.hh"
 #include "util/hash.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
@@ -52,6 +51,29 @@ namespace wsc {
 class ThreadPool;
 
 namespace memblade {
+
+/** Aggregate statistics of one trace replay. */
+struct ReplayStats {
+    std::uint64_t accesses = 0;
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0; //!< remote-blade page fetches
+    std::uint64_t coldMisses = 0; //!< first-touch (not remote fetches)
+
+    double
+    missRate() const
+    {
+        return accesses ? double(misses) / double(accesses) : 0.0;
+    }
+
+    /** Miss rate excluding cold (first-touch) misses. */
+    double
+    warmMissRate() const
+    {
+        return accesses
+                   ? double(misses - coldMisses) / double(accesses)
+                   : 0.0;
+    }
+};
 
 /**
  * Page -> frame-slot map with two representations picked at
@@ -421,6 +443,21 @@ WindowedReplay replayWindowed(TraceGenerator &gen, PolicyKind kind,
 ReplayStats replayPages(const PageId *pages, std::size_t n,
                         PolicyKind kind, std::size_t frames,
                         std::uint64_t pageBound, Rng kernelRng);
+
+/**
+ * Miss rate of a profile at a given local fraction: a two-level
+ * memory (local DRAM + remote blade) whose local level holds
+ * ceil(footprint * localFraction) frames.
+ *
+ * @param profile Trace profile.
+ * @param localFraction Local memory as a fraction of the footprint.
+ * @param kind Replacement policy.
+ * @param accesses Trace length.
+ * @param seed RNG seed.
+ */
+ReplayStats replayProfile(const TraceProfile &profile,
+                          double localFraction, PolicyKind kind,
+                          std::uint64_t accesses, std::uint64_t seed);
 
 /**
  * Shard a long replay across @p shards independent trace segments and

@@ -45,8 +45,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "memblade/replay.hh"
 #include "memblade/trace.hh"
-#include "memblade/two_level.hh"
 #include "util/zero_pages.hh"
 
 namespace wsc {

@@ -1,15 +1,12 @@
 #include "memblade/trace_io.hh"
 
 #include <algorithm>
-#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "memblade/replay.hh"
 #include "memblade/trace_stream.hh"
-#include "util/endian.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
 
@@ -17,9 +14,6 @@ namespace wsc {
 namespace memblade {
 
 namespace {
-
-constexpr char magic[4] = {'W', 'S', 'C', 'T'};
-constexpr std::uint8_t kBinaryVersion = 2;
 
 bool
 endsWith(const std::string &s, const std::string &suffix)
@@ -66,109 +60,10 @@ readTraceText(std::istream &is)
 }
 
 void
-writeTraceBinary(std::ostream &os, const std::vector<PageId> &trace)
-{
-    os.write(magic, sizeof(magic));
-    char version = char(kBinaryVersion);
-    os.write(&version, 1);
-    std::uint64_t count = toLittle64(trace.size());
-    os.write(reinterpret_cast<const char *>(&count), sizeof(count));
-    if (detail::kHostIsLittleEndian) {
-        os.write(reinterpret_cast<const char *>(trace.data()),
-                 std::streamsize(trace.size() * sizeof(PageId)));
-    } else {
-        for (PageId p : trace) {
-            std::uint64_t le = toLittle64(p);
-            os.write(reinterpret_cast<const char *>(&le), sizeof(le));
-        }
-    }
-    WSC_ASSERT(os.good(), "trace write failed");
-}
-
-std::vector<PageId>
-readTraceBinary(std::istream &is)
-{
-    char m[4] = {};
-    is.read(m, sizeof(m));
-    if (!is.good() || std::memcmp(m, magic, sizeof(magic)) != 0)
-        fatal("not a wsc binary trace (bad magic)");
-    char version = 0;
-    is.read(&version, 1);
-    if (!is.good())
-        fatal("truncated binary trace header");
-    if (std::uint8_t(version) != kBinaryVersion)
-        fatal("unsupported binary trace version " +
-              std::to_string(unsigned(std::uint8_t(version))) +
-              " (expected " + std::to_string(unsigned(kBinaryVersion)) +
-              "; pre-versioned files must be regenerated)");
-    std::uint64_t count = 0;
-    is.read(reinterpret_cast<char *>(&count), sizeof(count));
-    if (!is.good())
-        fatal("truncated binary trace header");
-    count = fromLittle64(count);
-
-    // Never trust the header count: a corrupt file could request an
-    // exabyte allocation. On a seekable stream, bound it by the bytes
-    // actually remaining before allocating anything.
-    std::streamoff body = -1;
-    std::streamoff here = is.tellg();
-    if (here >= 0) {
-        is.seekg(0, std::ios::end);
-        std::streamoff end = is.tellg();
-        is.seekg(here);
-        if (end >= here)
-            body = end - here;
-    }
-    if (body >= 0 &&
-        count > std::uint64_t(body) / sizeof(PageId))
-        fatal("binary trace count " + std::to_string(count) +
-              " exceeds the stream's record capacity (" +
-              std::to_string(std::uint64_t(body) / sizeof(PageId)) +
-              ")");
-
-    std::vector<PageId> out;
-    if (body >= 0) {
-        out.resize(std::size_t(count));
-        is.read(reinterpret_cast<char *>(out.data()),
-                std::streamsize(count * sizeof(PageId)));
-        if (std::size_t(is.gcount()) != count * sizeof(PageId))
-            fatal("truncated binary trace body: expected " +
-                  std::to_string(count) + " ids");
-    } else {
-        // Non-seekable stream: read in bounded chunks so allocation
-        // can never outrun the data actually present.
-        constexpr std::size_t kChunkIds = 1 << 16;
-        std::uint64_t got = 0;
-        while (got < count) {
-            auto n = std::size_t(
-                std::min<std::uint64_t>(kChunkIds, count - got));
-            std::size_t prev = out.size();
-            out.resize(prev + n);
-            is.read(reinterpret_cast<char *>(out.data() + prev),
-                    std::streamsize(n * sizeof(PageId)));
-            if (std::size_t(is.gcount()) != n * sizeof(PageId))
-                fatal("truncated binary trace body: expected " +
-                      std::to_string(count) + " ids");
-            got += n;
-        }
-    }
-    if (!detail::kHostIsLittleEndian) {
-        for (PageId &p : out)
-            p = fromLittle64(p);
-    }
-    return out;
-}
-
-void
 saveTrace(const std::string &path, const std::vector<PageId> &trace)
 {
     if (endsWith(path, ".strace")) {
         writeTraceStream(path, trace);
-    } else if (endsWith(path, ".btrace")) {
-        std::ofstream os(path, std::ios::binary);
-        if (!os)
-            fatal("cannot open '" + path + "' for writing");
-        writeTraceBinary(os, trace);
     } else if (endsWith(path, ".trace")) {
         std::ofstream os(path);
         if (!os)
@@ -176,7 +71,7 @@ saveTrace(const std::string &path, const std::vector<PageId> &trace)
         writeTraceText(os, trace);
     } else {
         fatal("unknown trace extension on '" + path +
-              "' (use .trace, .btrace, or .strace)");
+              "' (use .trace or .strace)");
     }
 }
 
@@ -185,12 +80,6 @@ loadTrace(const std::string &path)
 {
     if (endsWith(path, ".strace"))
         return readTraceStreamPages(path);
-    if (endsWith(path, ".btrace")) {
-        std::ifstream is(path, std::ios::binary);
-        if (!is)
-            fatal("cannot open '" + path + "'");
-        return readTraceBinary(is);
-    }
     if (endsWith(path, ".trace")) {
         std::ifstream is(path);
         if (!is)
@@ -198,7 +87,7 @@ loadTrace(const std::string &path)
         return readTraceText(is);
     }
     fatal("unknown trace extension on '" + path +
-          "' (use .trace, .btrace, or .strace)");
+          "' (use .trace or .strace)");
 }
 
 ReplayStats

@@ -5,8 +5,9 @@
  * The paper replayed traces gathered from full-system simulation; our
  * generators substitute for those. This module lets users of the
  * library replay *real* traces instead: a simple line-oriented text
- * format (one decimal page id per line, '#' comments) plus a compact
- * binary format for long traces, with round-trip guarantees.
+ * format (one decimal page id per line, '#' comments), with
+ * round-trip guarantees, next to the streaming format of
+ * memblade/trace_stream.hh for long traces.
  */
 
 #ifndef WSC_MEMBLADE_TRACE_IO_HH
@@ -16,8 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "memblade/replay.hh"
 #include "memblade/trace.hh"
-#include "memblade/two_level.hh"
 
 namespace wsc {
 namespace memblade {
@@ -33,27 +34,9 @@ void writeTraceText(std::ostream &os, const std::vector<PageId> &trace);
  */
 std::vector<PageId> readTraceText(std::istream &is);
 
-/**
- * Write a trace in the legacy binary format, version 2: magic "WSCT",
- * a version byte (2), a little-endian u64 count, then count
- * little-endian u64 page ids. (Version "1" was the pre-versioned
- * host-endian layout; its files start the count where v2 puts the
- * version byte, so v2 readers reject them explicitly.)
- */
-void writeTraceBinary(std::ostream &os,
-                      const std::vector<PageId> &trace);
-
-/**
- * Read a binary trace; validates magic, version, and length. The
- * header count is checked against the bytes actually present before
- * any allocation, so a corrupt count raises FatalError instead of
- * requesting an exabyte vector.
- */
-std::vector<PageId> readTraceBinary(std::istream &is);
-
 /** Convenience: file-path variants (format chosen by extension:
- * ".trace" text, ".btrace" legacy binary, ".strace" streaming —
- * see memblade/trace_stream.hh). */
+ * ".trace" text, ".strace" streaming — see memblade/trace_stream.hh;
+ * any other extension raises FatalError). */
 void saveTrace(const std::string &path,
                const std::vector<PageId> &trace);
 std::vector<PageId> loadTrace(const std::string &path);

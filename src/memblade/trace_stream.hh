@@ -25,9 +25,8 @@
  *
  * Carrying the page-id bound in the header is what makes streaming
  * replay single-pass: the replay kernels size their direct-mapped
- * slot maps and cold-miss bitsets from the bound, which the legacy
- * `.trace`/`.btrace` path could only learn by pre-scanning the whole
- * trace (satellite: trace_io.cc replayTrace O(n) bound pass).
+ * slot maps and cold-miss bitsets from the bound, which the text
+ * `.trace` path can only learn by pre-scanning the whole trace.
  *
  * The reader mmaps the file read-only (MADV_SEQUENTIAL) and serves
  * batches straight out of the mapping, releasing each fully consumed
@@ -51,7 +50,6 @@
 #include "memblade/replay.hh"
 #include "memblade/stack_distance.hh"
 #include "memblade/trace.hh"
-#include "memblade/two_level.hh"
 
 namespace wsc {
 namespace memblade {

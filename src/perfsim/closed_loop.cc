@@ -15,7 +15,8 @@
  * pooled equivalent of the oracle's kept-alive ReqCtl.
  *
  * The contract, enforced by tests and bench_closed_loop, is
- * bit-identity with runClosedLoopOracle (closed_loop_oracle.cc): the
+ * bit-identity with runClosedLoopOracle (tests/oracles/
+ * closed_loop_oracle.cc, in the wsc_oracles test library): the
  * same RNG draw order, the same schedule/cancel sequence, and
  * therefore byte-identical ClosedLoopResults — while the steady-state
  * hot path performs zero per-request heap allocations (every capture

@@ -82,19 +82,6 @@ ClosedLoopResult runClosedLoop(workloads::InteractiveWorkload &workload,
                                const StationConfig &stations,
                                const ClosedLoopParams &params, Rng &rng);
 
-/**
- * The seed lambda-chain driver, kept compiled as the correctness
- * oracle for the pooled driver: per-request nested closures and a
- * shared_ptr'd retry control block, heap-allocating per request. It
- * must produce bit-identical ClosedLoopResults (same RNG draw order,
- * same event order, same kernel counters) as runClosedLoop;
- * bench_closed_loop and the state-machine tests gate on that.
- */
-ClosedLoopResult runClosedLoopOracle(
-    workloads::InteractiveWorkload &workload,
-    const StationConfig &stations, const ClosedLoopParams &params,
-    Rng &rng);
-
 } // namespace perfsim
 } // namespace wsc
 

@@ -142,7 +142,7 @@ struct EnsembleConfig {
     MmppConfig mmpp;
 
     /** fast-mode/2 macro-event arrival coalescing (sim/fast_mode.hh).
-     * Off = the exact per-arrival engine, byte-identical to PR-9. */
+     * Off = the exact per-arrival engine. */
     sim::EnsembleFastConfig fast;
 
     std::uint64_t seed = 1;
@@ -211,7 +211,7 @@ struct EnsembleResult {
 
     /** Equivalence-gate sample matrices, indexed [cell * hours + hour].
      * Deliberately NOT serialized into reports (exact-path bytes stay
-     * PR-9-identical); bench_ensemble's KS gate consumes them. */
+     * unchanged); bench_ensemble's KS gate consumes them. */
     std::vector<double> cellHourUtilization;  //!< active-server-seconds / (servers/cells * sph)
     std::vector<double> cellHourLatencyMean;  //!< mean completed-job latency, 0 if none
     std::vector<std::uint64_t> cellHourCompleted;

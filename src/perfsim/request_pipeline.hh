@@ -13,7 +13,8 @@
  * slot (the closed-loop timed path and the availability DES).
  * The analytic bound (throughput.cc) and the batch runner apply
  * different, expected-value formulas and keep their own; the
- * closed-loop oracle (closed_loop_oracle.cc) keeps its verbatim copy.
+ * closed-loop oracle (tests/oracles/closed_loop_oracle.cc) keeps its
+ * verbatim copy.
  */
 
 #ifndef WSC_PERFSIM_REQUEST_PIPELINE_HH

@@ -2,7 +2,7 @@
  * @file
  * Server sleep-state power catalog.
  *
- * The paper's power model (component_power.hh, proportional.hh) knows
+ * The paper's power model (component_power.hh) knows
  * two operating points: busy (activity-factor de-rated max) and idle
  * (the Fan et al. ~60%-of-busy floor of 2008-era hardware). The
  * ensemble simulator needs the rest of the ladder — a suspended state

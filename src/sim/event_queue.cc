@@ -25,20 +25,6 @@ makeId(std::uint32_t slot, std::uint32_t gen)
 
 } // namespace
 
-bool
-parseQueueKind(const std::string &name, QueueKind &out)
-{
-    if (name == "heap") {
-        out = QueueKind::Heap;
-        return true;
-    }
-    if (name == "calendar") {
-        out = QueueKind::Calendar;
-        return true;
-    }
-    return false;
-}
-
 const char *
 queueKindName(QueueKind kind)
 {

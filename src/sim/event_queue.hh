@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "sim/calendar_queue.hh"
@@ -33,10 +32,6 @@ enum class QueueKind : std::uint8_t {
     Heap,     //!< binary min-heap (oracle; the seed structure)
     Calendar, //!< bucketed calendar with far-future overflow tier
 };
-
-/** Parse "heap"/"calendar" (as in --ensemble-queue); returns false on
- * any other spelling, leaving @p out untouched. */
-bool parseQueueKind(const std::string &name, QueueKind &out);
 
 /** Canonical spelling of @p kind ("heap"/"calendar"). */
 const char *queueKindName(QueueKind kind);

@@ -97,7 +97,7 @@ namespace sim {
  * the gate's verdict is the bench exit code.
  */
 struct EnsembleFastConfig {
-    /** Off by default: exact per-arrival DES, bit-identical to PR-9. */
+    /** Off by default: the exact per-arrival DES. */
     bool enabled = false;
 
     /** Contract revision; bump when the relaxation set changes. */

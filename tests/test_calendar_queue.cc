@@ -33,13 +33,6 @@ using wsc::sim::Time;
 
 TEST(QueueKindTest, ParseAndName)
 {
-    QueueKind k = QueueKind::Calendar;
-    EXPECT_TRUE(wsc::sim::parseQueueKind("heap", k));
-    EXPECT_EQ(k, QueueKind::Heap);
-    EXPECT_TRUE(wsc::sim::parseQueueKind("calendar", k));
-    EXPECT_EQ(k, QueueKind::Calendar);
-    EXPECT_FALSE(wsc::sim::parseQueueKind("ladder", k));
-    EXPECT_EQ(k, QueueKind::Calendar); // untouched on failure
     EXPECT_STREQ(wsc::sim::queueKindName(QueueKind::Heap), "heap");
     EXPECT_STREQ(wsc::sim::queueKindName(QueueKind::Calendar),
                  "calendar");

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/closed_loop_oracle.hh"
 #include "perfsim/closed_loop.hh"
 #include "perfsim/perf_eval.hh"
 #include "perfsim/throughput.hh"

@@ -8,7 +8,7 @@
 #include <cmath>
 
 #include "memblade/contention.hh"
-#include "memblade/two_level.hh"
+#include "memblade/replay.hh"
 #include "util/logging.hh"
 
 namespace {

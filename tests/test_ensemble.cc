@@ -211,8 +211,8 @@ TEST(Ensemble, MmppBurstsRaiseOfferedLoad)
     EXPECT_NEAR(ratio, 2.0, 0.2);
 }
 
-// Dead-of-night troughs are legitimate input (the satellite-2 class of
-// bug): zero-load hours must neither crash nor poison the accounting.
+// Dead-of-night troughs are legitimate input: zero-load hours must
+// neither crash nor poison the accounting.
 TEST(Ensemble, ZeroLoadHoursRunClean)
 {
     EnsembleConfig cfg = baseConfig();

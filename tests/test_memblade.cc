@@ -9,8 +9,8 @@
 #include "memblade/blade.hh"
 #include "memblade/latency.hh"
 #include "memblade/replacement.hh"
+#include "memblade/replay.hh"
 #include "memblade/trace.hh"
-#include "memblade/two_level.hh"
 #include "platform/catalog.hh"
 
 namespace {

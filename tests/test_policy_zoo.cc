@@ -2,9 +2,9 @@
  * @file
  * Unit tests for the replacement-policy zoo (ARC, SLRU, 2Q, LFUDA).
  *
- * The acceptance criterion for the zoo is the PR-4 oracle contract:
- * every kernel makes exactly the same hit/miss decision as its
- * per-access reference implementation on every access. The grid test
+ * The acceptance criterion for the zoo is the replay-kernel oracle
+ * contract: every kernel makes exactly the same hit/miss decision as
+ * its per-access reference implementation on every access. The grid test
  * enforces it across all five workload profiles and three capacities;
  * the edge tests pin tiny frame counts and adversarial patterns where
  * the published algorithms have the most corner cases.

@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/event_queue.hh"
-#include "sim/queueing.hh"
+#include "oracles/queueing.hh"
 #include "sim/resources.hh"
 #include "stats/summary.hh"
 #include "util/logging.hh"

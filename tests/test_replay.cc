@@ -16,6 +16,7 @@
 #include "memblade/replay.hh"
 #include "memblade/stack_distance.hh"
 #include "memblade/trace_io.hh"
+#include "oracles/two_level.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
 

@@ -9,7 +9,6 @@
 #include <cmath>
 #include <vector>
 
-#include "stats/histogram.hh"
 #include "stats/means.hh"
 #include "stats/percentile.hh"
 #include "stats/summary.hh"
@@ -112,19 +111,6 @@ TEST(Percentile, QosBoundaryIsStrict)
     EXPECT_DOUBLE_EQ(empty.fractionAtLeast(1.0), 0.0);
 }
 
-TEST(Histogram, ZeroBinsRejectedBeforeWidthDerivation)
-{
-    // The bins == 0 path must throw from the validation assert, not
-    // divide first and build an inf-width histogram.
-    try {
-        Histogram h(0.0, 1.0, 0);
-        FAIL() << "zero-bin histogram not rejected";
-    } catch (const PanicError &e) {
-        EXPECT_NE(std::string(e.what()).find("at least one bin"),
-                  std::string::npos);
-    }
-}
-
 TEST(Percentile, InterleavedAddAndQuery)
 {
     PercentileTracker p;
@@ -190,38 +176,6 @@ TEST(Percentile, EmptyQuantilePanics)
 {
     PercentileTracker p;
     EXPECT_THROW(p.quantile(0.5), PanicError);
-}
-
-TEST(Histogram, BinningAndOverflow)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(-1.0);
-    h.add(0.0);
-    h.add(9.999);
-    h.add(10.0);
-    h.add(5.5);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.binCount(0), 1u);
-    EXPECT_EQ(h.binCount(9), 1u);
-    EXPECT_EQ(h.binCount(5), 1u);
-    EXPECT_EQ(h.total(), 5u);
-}
-
-TEST(Histogram, EdgesAreHalfOpen)
-{
-    Histogram h(0.0, 4.0, 4);
-    h.add(1.0); // belongs to [1,2), not [0,1)
-    EXPECT_EQ(h.binCount(0), 0u);
-    EXPECT_EQ(h.binCount(1), 1u);
-    EXPECT_DOUBLE_EQ(h.binLow(1), 1.0);
-    EXPECT_DOUBLE_EQ(h.binHigh(1), 2.0);
-}
-
-TEST(Histogram, InvalidConstructionPanics)
-{
-    EXPECT_THROW(Histogram(1.0, 1.0, 4), PanicError);
-    EXPECT_THROW(Histogram(0.0, 1.0, 0), PanicError);
 }
 
 TEST(Means, Harmonic)

@@ -1,16 +1,21 @@
 /**
  * @file
- * Unit tests for trace persistence (text and binary round trips).
+ * Unit tests for trace persistence (text and streaming round trips)
+ * and for wsc_memblade's --curve option checks, run on the built tool.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "memblade/trace_io.hh"
 #include "memblade/trace_stream.hh"
+#include "oracles/two_level.hh"
 #include "util/logging.hh"
 
 namespace {
@@ -54,96 +59,26 @@ TEST(TraceIo, TextRejectsGarbage)
     EXPECT_THROW(readTraceText(ss2), FatalError);
 }
 
-TEST(TraceIo, BinaryRoundTrip)
-{
-    auto trace = sampleTrace();
-    std::stringstream ss(std::ios::in | std::ios::out |
-                         std::ios::binary);
-    writeTraceBinary(ss, trace);
-    auto back = readTraceBinary(ss);
-    EXPECT_EQ(back, trace);
-}
-
-TEST(TraceIo, BinaryRejectsBadMagic)
-{
-    std::stringstream ss(std::ios::in | std::ios::out |
-                         std::ios::binary);
-    ss << "NOPE and more";
-    EXPECT_THROW(readTraceBinary(ss), FatalError);
-}
-
-TEST(TraceIo, BinaryRejectsTruncation)
-{
-    auto trace = sampleTrace();
-    std::stringstream ss(std::ios::in | std::ios::out |
-                         std::ios::binary);
-    writeTraceBinary(ss, trace);
-    std::string data = ss.str();
-    data.resize(data.size() / 2);
-    std::stringstream cut(data,
-                          std::ios::in | std::ios::binary);
-    EXPECT_THROW(readTraceBinary(cut), FatalError);
-}
-
 TEST(TraceIo, FileRoundTripBothFormats)
 {
     auto trace = sampleTrace();
     std::string text_path = "/tmp/wsc_test_trace.trace";
-    std::string bin_path = "/tmp/wsc_test_trace.btrace";
+    std::string stream_path = "/tmp/wsc_test_trace.strace";
     saveTrace(text_path, trace);
-    saveTrace(bin_path, trace);
+    saveTrace(stream_path, trace);
     EXPECT_EQ(loadTrace(text_path), trace);
-    EXPECT_EQ(loadTrace(bin_path), trace);
+    EXPECT_EQ(loadTrace(stream_path), trace);
     std::remove(text_path.c_str());
-    std::remove(bin_path.c_str());
+    std::remove(stream_path.c_str());
 }
 
 TEST(TraceIo, UnknownExtensionFatal)
 {
-    EXPECT_THROW(saveTrace("/tmp/x.csv", sampleTrace()), FatalError);
-    EXPECT_THROW(loadTrace("/tmp/x.csv"), FatalError);
-}
-
-TEST(TraceIo, BinaryRejectsTruncatedHeader)
-{
-    // Cut inside the magic, inside the version byte, and inside the
-    // count field: all must fatal, never allocate.
-    auto trace = sampleTrace();
-    std::stringstream ss(std::ios::in | std::ios::out |
-                         std::ios::binary);
-    writeTraceBinary(ss, trace);
-    std::string data = ss.str();
-    for (std::size_t cut : {std::size_t(2), std::size_t(4),
-                            std::size_t(8)}) {
-        std::stringstream s(data.substr(0, cut),
-                            std::ios::in | std::ios::binary);
-        EXPECT_THROW(readTraceBinary(s), FatalError) << cut;
+    for (const char *name : {"/tmp/x.csv", "/tmp/x.btrace"}) {
+        EXPECT_THROW(saveTrace(name, sampleTrace()), FatalError)
+            << name;
+        EXPECT_THROW(loadTrace(name), FatalError) << name;
     }
-}
-
-TEST(TraceIo, BinaryRejectsOversizedCount)
-{
-    // A corrupt header claiming ~2^61 ids must fatal on the length
-    // check instead of requesting a multi-exabyte allocation.
-    std::string data;
-    data += "WSCT";
-    data += char(2); // version
-    std::uint64_t huge = std::uint64_t(1) << 61;
-    data.append(reinterpret_cast<const char *>(&huge), sizeof(huge));
-    data += "only a few bytes of body";
-    std::stringstream ss(data, std::ios::in | std::ios::binary);
-    EXPECT_THROW(readTraceBinary(ss), FatalError);
-}
-
-TEST(TraceIo, BinaryRejectsWrongVersion)
-{
-    std::string data;
-    data += "WSCT";
-    data += char(1); // pre-v2 files land here too (count low byte)
-    std::uint64_t count = 0;
-    data.append(reinterpret_cast<const char *>(&count), sizeof(count));
-    std::stringstream ss(data, std::ios::in | std::ios::binary);
-    EXPECT_THROW(readTraceBinary(ss), FatalError);
 }
 
 TEST(TraceIo, RoundTripsEmptyAndSingleAcrossFormats)
@@ -151,8 +86,7 @@ TEST(TraceIo, RoundTripsEmptyAndSingleAcrossFormats)
     for (const auto &trace :
          {std::vector<PageId>{}, std::vector<PageId>{123456789}}) {
         for (const char *name :
-             {"/tmp/wsc_edge.trace", "/tmp/wsc_edge.btrace",
-              "/tmp/wsc_edge.strace"}) {
+              {"/tmp/wsc_edge.trace", "/tmp/wsc_edge.strace"}) {
             saveTrace(name, trace);
             EXPECT_EQ(loadTrace(name), trace) << name;
             std::remove(name);
@@ -162,15 +96,14 @@ TEST(TraceIo, RoundTripsEmptyAndSingleAcrossFormats)
 
 TEST(TraceIo, CrossFormatRoundTripIsExact)
 {
-    // text -> binary -> streaming -> text must be the identity.
+    // text -> streaming -> text must be the identity.
     auto trace = sampleTrace();
     saveTrace("/tmp/wsc_x.trace", trace);
-    saveTrace("/tmp/wsc_x.btrace", loadTrace("/tmp/wsc_x.trace"));
-    saveTrace("/tmp/wsc_x.strace", loadTrace("/tmp/wsc_x.btrace"));
-    auto back = loadTrace("/tmp/wsc_x.strace");
-    EXPECT_EQ(back, trace);
-    for (const char *name : {"/tmp/wsc_x.trace", "/tmp/wsc_x.btrace",
-                             "/tmp/wsc_x.strace"})
+    saveTrace("/tmp/wsc_x.strace", loadTrace("/tmp/wsc_x.trace"));
+    saveTrace("/tmp/wsc_x2.trace", loadTrace("/tmp/wsc_x.strace"));
+    EXPECT_EQ(loadTrace("/tmp/wsc_x2.trace"), trace);
+    for (const char *name :
+         {"/tmp/wsc_x.trace", "/tmp/wsc_x.strace", "/tmp/wsc_x2.trace"})
         std::remove(name);
 }
 
@@ -209,6 +142,67 @@ TEST(TraceIo, ReplayMatchesGeneratorPath)
     EXPECT_EQ(from_file.accesses, direct.stats().accesses);
     EXPECT_EQ(from_file.misses, direct.stats().misses);
     EXPECT_EQ(from_file.coldMisses, direct.stats().coldMisses);
+}
+
+/** Run wsc_memblade with @p args; returns its exit code and output. */
+int
+runMemblade(const std::string &args, std::string &output)
+{
+    // ctest runs each test in its own process, in parallel: name the
+    // capture after the test.
+    std::string out =
+        testing::TempDir() + "wsc_memblade_" +
+        testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".out";
+    std::string cmd =
+        std::string(WSC_MEMBLADE) + " " + args + " > " + out + " 2>&1";
+    int status = std::system(cmd.c_str());
+    std::ifstream in(out);
+    std::stringstream text;
+    text << in.rdbuf();
+    output = text.str();
+    std::remove(out.c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(MembladeTool, CurveOnStreamIsLruWhateverThePolicy)
+{
+    // --policy defaults to random; the curve is LRU regardless.
+    std::string path = testing::TempDir() + "wsc_curve.strace";
+    saveTrace(path, sampleTrace());
+    std::string out;
+    EXPECT_EQ(runMemblade("--trace " + path +
+                              " --frames 100000 --curve 10",
+                          out),
+              0)
+        << out;
+    EXPECT_NE(out.find("LRU miss-rate curve"), std::string::npos)
+        << out;
+    std::remove(path.c_str());
+}
+
+TEST(MembladeTool, CurveRejectsTextTrace)
+{
+    std::string path = testing::TempDir() + "wsc_curve.trace";
+    saveTrace(path, sampleTrace());
+    std::string out;
+    EXPECT_EQ(runMemblade("--trace " + path +
+                              " --policy lru --frames 400 --curve 4",
+                          out),
+              1);
+    EXPECT_NE(out.find("--curve needs a .strace trace file"),
+              std::string::npos)
+        << out;
+    std::remove(path.c_str());
+}
+
+TEST(MembladeTool, CurveRejectsHierarchy)
+{
+    std::string out;
+    EXPECT_EQ(runMemblade("--hierarchy exclusive --curve 4", out), 1);
+    EXPECT_NE(out.find("--curve cannot be combined with --hierarchy"),
+              std::string::npos)
+        << out;
 }
 
 } // namespace

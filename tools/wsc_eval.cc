@@ -175,10 +175,6 @@ main(int argc, char **argv)
                    "threads executing the shards (0 = min(shards, "
                    "allowed CPUs))",
                    "1")
-        .addOption("ensemble-queue",
-                   "event-queue backend: calendar|heap (execution "
-                   "knob; results are byte-identical)",
-                   "calendar")
         .addOption("ensemble-hours", "simulated hours", "24")
         .addOption("ensemble-seconds-per-hour",
                    "duty-cycle compression: simulated seconds per "
@@ -378,9 +374,6 @@ main(int argc, char **argv)
             if (eWorkers < 0 || eWorkers > 4096)
                 fatal("--ensemble-workers must be in [0, 4096]");
             ep.workers = unsigned(eWorkers);
-            if (!sim::parseQueueKind(args.get("ensemble-queue"),
-                                     ep.queue))
-                fatal("--ensemble-queue must be calendar|heap");
             // Couple the fleet to the evaluated design: its relative
             // performance (harmonic mean over the suite, vs the
             // baseline) scales per-request service demand, so the

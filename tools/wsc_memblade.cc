@@ -4,13 +4,15 @@
  *
  * Replays a page trace — either a synthetic trace for one of the
  * benchmark profiles or a user-supplied trace file (.trace text /
- * .btrace binary / .strace streaming) — through the two-level memory
- * simulator and reports miss rates, slowdowns per link, and
- * blade-sharing limits. Streaming traces replay straight off an mmap
- * without materializing the access sequence; the full policy zoo
+ * .strace streaming) — through the two-level memory simulator and
+ * reports miss rates, slowdowns per link, and blade-sharing limits.
+ * Streaming traces replay straight off an mmap without materializing
+ * the access sequence; the full policy zoo
  * (lru|random|clock|arc|slru|2q|lfuda) is available everywhere, and
  * --hierarchy models an inclusive/exclusive two-level setup with an
- * optional sequential prefetch buffer.
+ * optional sequential prefetch buffer. --curve prints an exact LRU
+ * miss-rate curve (whatever --policy says) for a synthetic profile
+ * or a .strace file.
  *
  * Examples:
  *   wsc_memblade --benchmark websearch --local 0.25 --policy arc
@@ -120,7 +122,9 @@ main(int argc, char **argv)
                    "")
         .addOption("curve",
                    "print an N-point local-fraction LRU miss-rate "
-                   "curve from one stack-distance pass and exit",
+                   "curve from one stack-distance pass and exit "
+                   "(LRU whatever --policy says; synthetic or .strace "
+                   "input, not with --hierarchy)",
                    "0")
         .addOption("hierarchy",
                    "two-level mode: inclusive|exclusive (replaces the "
@@ -171,13 +175,18 @@ main(int argc, char **argv)
         if (curve_pts < 0.0 || curve_pts > 1e6)
             fatal("--curve must be in [0, 1e6]");
         auto points = unsigned(curve_pts);
+        const std::string path = args.get("trace");
+        if (points > 0 && hierarchical)
+            fatal("--curve cannot be combined with --hierarchy");
+        if (points > 0 && !path.empty() && !endsWith(path, ".strace"))
+            fatal("--curve needs a .strace trace file (or a synthetic "
+                  "--benchmark)");
 
         ReplayStats stats;
         double touch_rate = 0.0;
         std::string label;
 
-        if (!args.get("trace").empty()) {
-            const std::string path = args.get("trace");
+        if (!path.empty()) {
             auto frames = countOption("frames", 1, 1e12);
             bool streaming = endsWith(path, ".strace");
             if (hierarchical) {
@@ -197,9 +206,6 @@ main(int argc, char **argv)
             if (streaming) {
                 TraceStream ts(path);
                 if (points > 0) {
-                    if (policy != PolicyKind::Lru)
-                        fatal("--curve needs --policy lru: only LRU "
-                              "has the Mattson inclusion property");
                     printStreamCurve(ts, points);
                     return 0;
                 }

@@ -2,12 +2,12 @@
  * @file
  * wsc_trace: trace conversion and inspection.
  *
- * Converts page traces between the three on-disk formats — .trace
- * (text), .btrace (legacy binary v2), .strace (streaming, mmap-ready,
- * page bound in the header) — or synthesizes one from a benchmark
- * generator, and prints stats. Conversions from a generator to
- * .strace stream straight through the incremental writer, so
- * arbitrarily long traces convert in constant memory.
+ * Converts page traces between the two on-disk formats — .trace
+ * (text) and .strace (streaming, mmap-ready, page bound in the
+ * header) — or synthesizes one from a benchmark generator, and prints
+ * stats. Conversions from a generator to .strace stream straight
+ * through the incremental writer, so arbitrarily long traces convert
+ * in constant memory.
  *
  * Examples:
  *   wsc_trace --in app.trace --out app.strace
@@ -76,11 +76,11 @@ main(int argc, char **argv)
 {
     ArgParser args("wsc_trace", "page-trace conversion and stats");
     args.addOption("in",
-                   "input trace (.trace|.btrace|.strace); omit to use "
+                   "input trace (.trace|.strace); omit to use "
                    "the generator",
                    "")
         .addOption("out",
-                   "output trace (.trace|.btrace|.strace); omit for "
+                   "output trace (.trace|.strace); omit for "
                    "--stats only",
                    "")
         .addOption("benchmark",
@@ -151,7 +151,7 @@ main(int argc, char **argv)
 
         // File source. Streaming inputs with no conversion never
         // materialize; everything else goes through a vector (the
-        // legacy formats are not streamable anyway).
+        // text format is not streamable anyway).
         if (endsWith(in, ".strace") && out.empty()) {
             auto info = traceStreamStats(in);
             printStats(in, info.count, info.pageBound,
