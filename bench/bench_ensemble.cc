@@ -1,14 +1,14 @@
 /**
  * @file
- * Ensemble-DES hot-path scaling: events/sec by event-queue backend,
- * shard count, and worker count — plus the fast-mode/2 macro-event
- * arms and their statistical-equivalence gate.
+ * Ensemble-DES hot-path scaling: events/sec by event-queue backend
+ * and worker count — plus the fast-mode/2 macro-event arms and their
+ * statistical-equivalence gate.
  *
  * Runs the identical warehouse-scale ensemble simulation
  * (nonstationary diurnal arrivals + MMPP flash-crowd process,
  * per-server sleep-state machines, PowerOff autoscaling) across a
- * grid of execution knobs — heap vs calendar event ordering, 1-8
- * shards, 1-4 workers — verifies every run produces byte-identical
+ * grid of execution knobs — heap vs calendar event ordering, 1, 2
+ * and 4 workers — verifies every run produces byte-identical
  * ensemble report JSON (the kernel's determinism contract), and
  * reports kernel throughput per arm.
  *
@@ -23,15 +23,17 @@
  *    gated *statistically* instead (below). The headline is
  *    fast_vs_exact_ratio: simulated requests/sec, fast calendar
  *    serial over exact calendar serial.
- *  - shards on a single hardware thread measure cache locality (each
- *    shard's working set stays L2-resident); with real cores the
- *    worker arms add parallel execution on top. On a 1-CPU host the
- *    workers>1 arms are pure oversubscription noise, so they are
- *    skipped and marked "skipped_oversubscribed" in the JSON rather
- *    than recorded as if they measured something.
+ *  - workers: every cell has its own event queue whatever the knobs
+ *    say, so the shard count only sets which cells each worker runs
+ *    first; each arm uses one shard per worker. Arms with more
+ *    workers than the host has CPUs would measure oversubscription
+ *    noise, so they are skipped and marked "skipped_oversubscribed"
+ *    in the JSON rather than recorded as if they measured something.
  *  - window_imbalance (busiest shard's share x shards, averaged over
- *    windows; 1.0 = balanced) bounds what parallel workers could ever
- *    deliver: speedup <= shards / imbalance regardless of core count.
+ *    windows; 1.0 = balanced) is how unevenly the work fell on the
+ *    home blocks; lanes_stolen counts the cells other workers took
+ *    to even it out, and phase_seconds splits the run's wall time
+ *    into compute, barrier wait, mailbox drain and control plane.
  *
  * The fast-mode/2 equivalence gate (stats/equivalence.hh) replaces
  * the bit-identity oracle for the fast arms. A naive pooled KS
@@ -65,10 +67,10 @@
  * sample is the closest estimate of the true cost.
  *
  * Emits machine-readable BENCH_ensemble.json (schema v4, documented
- * in README.md) so later PRs can track the trajectory; CI recomputes
- * it fresh and gates on bit_identical, the equivalence gate, plus the
- * calendar/heap serial throughput ratio against the committed
- * baseline.
+ * in README.md) so later runs can track the trajectory; CI recomputes
+ * it fresh and gates on bit_identical, the equivalence gate, the
+ * calendar/heap serial throughput ratio and the calendar 4-worker
+ * speedup against the committed record.
  */
 
 #include <algorithm>
@@ -103,17 +105,14 @@ identityJson(const perfsim::EnsembleResult &r)
 
 struct Arm {
     sim::QueueKind queue = sim::QueueKind::Heap;
-    unsigned shards = 1;
-    unsigned workers = 1;
+    unsigned workers = 1; //!< also the shard count
     bool fast = false;
-    bool skipped = false;  //!< oversubscribed on a 1-CPU host
-    double bestWall = 0.0; //!< min over reps
-    std::uint64_t events = 0;
-    std::uint64_t requests = 0; //!< offered arrivals
-    double imbalance = 1.0;
-    std::vector<std::uint64_t> shardEvents;
+    bool skipped = false;  //!< more workers than host CPUs
+    /** The best rep's run (min wall over reps). */
+    perfsim::EnsembleResult best;
 
-    bool serial() const { return shards == 1 && workers == 1; }
+    bool serial() const { return workers == 1; }
+    double bestWall() const { return best.wallSeconds; }
 };
 
 } // namespace
@@ -122,8 +121,8 @@ int
 run(int argc, char **argv)
 {
     ArgParser args("bench_ensemble",
-                   "ensemble DES throughput by event-queue backend, "
-                   "shard count, and worker count, with the "
+                   "ensemble DES throughput by event-queue backend "
+                   "and worker count, with the "
                    "bit-identity gate and the fast-mode/2 "
                    "statistical-equivalence gate");
     args.addOption("servers", "fleet size", "100000")
@@ -193,47 +192,39 @@ run(int argc, char **argv)
     {
         perfsim::EnsembleConfig w = cfg;
         w.servers = std::max<std::uint64_t>(cfg.servers / 10, 1000);
-        w.shards = 8;
         runEnsemble(w);
-        w.shards = 1;
         w.fast.enabled = true;
         runEnsemble(w);
     }
 
-    // The knob grid: every (shards, workers) pair under each backend,
-    // workers <= shards (extra workers would idle). The serial pair
-    // (1, 1) per backend anchors the speedup and ratio numbers. The
-    // fast arms cover both backends serially (backend invariance)
-    // plus sharded pairs (shard/worker invariance).
-    const std::vector<std::pair<unsigned, unsigned>> knobs{
-        {1, 1}, {2, 1}, {2, 2}, {4, 1}, {4, 4}, {8, 1}, {8, 4}};
+    // The knob grid: 1, 2 and 4 workers under each backend. The
+    // serial arm per backend anchors the speedup and ratio numbers.
+    // The fast arms cover both backends serially (backend invariance)
+    // plus a 4-worker arm (worker invariance).
     std::vector<Arm> arms;
     for (auto kind : {sim::QueueKind::Heap, sim::QueueKind::Calendar})
-        for (auto [s, w] : knobs) {
+        for (unsigned w : {1u, 2u, 4u}) {
             Arm arm;
             arm.queue = kind;
-            arm.shards = s;
             arm.workers = w;
             arms.push_back(std::move(arm));
         }
-    const std::vector<std::tuple<sim::QueueKind, unsigned, unsigned>>
-        fastKnobs{{sim::QueueKind::Heap, 1, 1},
-                  {sim::QueueKind::Calendar, 1, 1},
-                  {sim::QueueKind::Calendar, 4, 1},
-                  {sim::QueueKind::Calendar, 8, 4}};
-    for (auto [kind, s, w] : fastKnobs) {
+    const std::vector<std::pair<sim::QueueKind, unsigned>> fastKnobs{
+        {sim::QueueKind::Heap, 1},
+        {sim::QueueKind::Calendar, 1},
+        {sim::QueueKind::Calendar, 4}};
+    for (auto [kind, w] : fastKnobs) {
         Arm arm;
         arm.queue = kind;
-        arm.shards = s;
         arm.workers = w;
         arm.fast = true;
         arms.push_back(std::move(arm));
     }
-    // Oversubscribed arms on a single-CPU host time-slice one core:
-    // their walls measure scheduler noise, not the kernel. Skip them
-    // rather than feed noise to the regression gate.
+    // Oversubscribed arms time-slice too few cores: their walls
+    // measure scheduler noise, not the kernel. Skip them rather than
+    // feed noise to the regression gates.
     for (auto &arm : arms)
-        if (hw < 2 && arm.workers > 1)
+        if (arm.workers > hw)
             arm.skipped = true;
 
     std::string exactRef, fastRef;
@@ -243,22 +234,19 @@ run(int argc, char **argv)
             if (arm.skipped)
                 continue;
             cfg.queue = arm.queue;
-            cfg.shards = arm.shards;
+            cfg.shards = arm.workers;
             cfg.workers = arm.workers;
             cfg.fast.enabled = arm.fast;
             auto r = perfsim::runEnsemble(cfg);
-            arm.events = r.eventsDispatched;
-            arm.requests = r.offered;
-            arm.imbalance = r.meanWindowImbalance;
-            arm.shardEvents = r.shardEvents;
-            if (arm.bestWall == 0.0 || r.wallSeconds < arm.bestWall)
-                arm.bestWall = r.wallSeconds;
             std::string id = identityJson(r);
             std::string &ref = arm.fast ? fastRef : exactRef;
             if (ref.empty())
                 ref = id;
             else if (id != ref)
                 identical = false;
+            if (arm.best.wallSeconds == 0.0 ||
+                r.wallSeconds < arm.best.wallSeconds)
+                arm.best = std::move(r);
         }
     }
     cfg.queue = sim::QueueKind::Calendar;
@@ -275,10 +263,10 @@ run(int argc, char **argv)
         fatal("missing serial arm");
     };
     auto eps = [](const Arm &a) {
-        return double(a.events) / a.bestWall;
+        return double(a.best.eventsDispatched) / a.bestWall();
     };
     auto rps = [](const Arm &a) {
-        return double(a.requests) / a.bestWall;
+        return double(a.best.offered) / a.bestWall();
     };
     double heapSerial = eps(serialArm(sim::QueueKind::Heap, false));
     double calSerial = eps(serialArm(sim::QueueKind::Calendar, false));
@@ -292,26 +280,25 @@ run(int argc, char **argv)
     double fastVsExact =
         bestFastRps / rps(serialArm(sim::QueueKind::Calendar, false));
 
-    Table t({"Queue", "Mode", "Shards", "Workers", "Best wall (s)",
-             "Events/s", "Req/s", "vs serial", "Imbalance"});
+    Table t({"Queue", "Mode", "Workers", "Best wall (s)", "Events/s",
+             "Req/s", "vs serial", "Imbalance", "Stolen"});
     for (const auto &arm : arms) {
         if (arm.skipped) {
             t.addRow({sim::queueKindName(arm.queue),
                       arm.fast ? "fast" : "exact",
-                      std::to_string(arm.shards),
                       std::to_string(arm.workers), "skipped", "-",
-                      "-", "-", "-"});
+                      "-", "-", "-", "-"});
             continue;
         }
         const Arm &anchor = serialArm(arm.queue, arm.fast);
         t.addRow({sim::queueKindName(arm.queue),
                   arm.fast ? "fast" : "exact",
-                  std::to_string(arm.shards),
-                  std::to_string(arm.workers), fmtF(arm.bestWall, 3),
+                  std::to_string(arm.workers), fmtF(arm.bestWall(), 3),
                   fmtF(eps(arm) / 1e6, 2) + "M",
                   fmtF(rps(arm) / 1e6, 2) + "M",
-                  fmtF(anchor.bestWall / arm.bestWall, 2) + "x",
-                  fmtF(arm.imbalance, 2)});
+                  fmtF(anchor.bestWall() / arm.bestWall(), 2) + "x",
+                  fmtF(arm.best.meanWindowImbalance, 2),
+                  std::to_string(arm.best.lanesStolen)});
     }
     t.print(std::cout);
 
@@ -324,10 +311,10 @@ run(int argc, char **argv)
               << (identical ? "bit-identical within "
                             : "MISMATCH within ")
               << "exact and fast arm groups x " << reps << " reps\n";
-    if (hw < 2)
-        std::cout << "Note: 1 hardware thread visible; workers>1 arms "
-                     "skipped (oversubscription noise), multi-shard "
-                     "gains are cache locality only.\n";
+    if (hw < 4)
+        std::cout << "Note: " << hw << " hardware thread(s) visible; "
+                  << "arms with more workers skipped (oversubscription "
+                     "noise).\n";
 
     // ---- fast-mode/2 statistical-equivalence gate ----------------
     //
@@ -500,25 +487,33 @@ run(int argc, char **argv)
         .key("fast_contract")
         .value(sim::EnsembleFastConfig::contractVersion())
         .endObject();
-    w.key("events_dispatched").value(arms[0].events);
+    w.key("events_dispatched").value(arms[0].best.eventsDispatched);
     w.key("arms").beginArray();
     for (const Arm &arm : arms) {
         w.beginObject()
             .key("queue").value(sim::queueKindName(arm.queue))
-            .key("shards").value(std::uint64_t(arm.shards))
+            .key("shards").value(std::uint64_t(arm.workers))
             .key("workers").value(std::uint64_t(arm.workers))
             .key("fast").value(arm.fast)
             .key("skipped_oversubscribed").value(arm.skipped);
         if (!arm.skipped) {
             const Arm &anchor = serialArm(arm.queue, arm.fast);
-            w.key("best_wall_seconds").value(arm.bestWall)
+            const perfsim::EnsembleResult &r = arm.best;
+            w.key("best_wall_seconds").value(arm.bestWall())
                 .key("events_per_sec").value(eps(arm))
                 .key("requests_per_sec").value(rps(arm))
                 .key("speedup_vs_serial")
-                .value(anchor.bestWall / arm.bestWall)
-                .key("window_imbalance").value(arm.imbalance)
+                .value(anchor.bestWall() / arm.bestWall())
+                .key("window_imbalance").value(r.meanWindowImbalance)
+                .key("lanes_stolen").value(r.lanesStolen)
+                .key("phase_seconds").beginObject()
+                .key("compute").value(r.computeSeconds)
+                .key("barrier_wait").value(r.barrierWaitSeconds)
+                .key("drain").value(r.drainSeconds)
+                .key("control").value(r.controlSeconds)
+                .endObject()
                 .key("shard_events").beginArray();
-            for (auto e : arm.shardEvents)
+            for (auto e : r.shardEvents)
                 w.value(e);
             w.endArray();
         }

@@ -151,6 +151,11 @@ ensembleReport(const EnsemblePolicyOutcome &outcome)
     r.wallSeconds = m.wallSeconds;
     r.shardEvents = m.shardEvents;
     r.windowImbalance = m.meanWindowImbalance;
+    r.computeSeconds = m.computeSeconds;
+    r.barrierWaitSeconds = m.barrierWaitSeconds;
+    r.drainSeconds = m.drainSeconds;
+    r.controlSeconds = m.controlSeconds;
+    r.lanesStolen = m.lanesStolen;
     return r;
 }
 

@@ -33,7 +33,7 @@ struct EnsembleEvalParams {
     EnsembleEnergyParams energy;
 
     unsigned cells = 16;   //!< dispatch domains (model topology)
-    unsigned shards = 1;   //!< physical event queues (execution knob)
+    unsigned shards = 1;   //!< cell blocks; caps workers (execution knob)
     unsigned workers = 1;  //!< threads (0 = min(shards, allowed CPUs))
     /** Event-ordering backend (execution knob; calendar by default,
      * heap as the oracle — results are byte-identical). */

@@ -200,6 +200,14 @@ writeEnsemble(JsonWriter &w, const EnsembleReport &e,
             w.value(v);
         w.endArray();
         w.key("window_imbalance").value(e.windowImbalance);
+        w.key("phase_seconds");
+        w.beginObject();
+        w.key("compute").value(e.computeSeconds);
+        w.key("barrier_wait").value(e.barrierWaitSeconds);
+        w.key("drain").value(e.drainSeconds);
+        w.key("control").value(e.controlSeconds);
+        w.endObject();
+        w.key("lanes_stolen").value(e.lanesStolen);
     }
     w.endObject();
 }

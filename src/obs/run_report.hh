@@ -200,6 +200,14 @@ struct EnsembleReport {
      * the shard count), so written with the timings only. */
     std::vector<std::uint64_t> shardEvents;
     double windowImbalance = 1.0;
+    /** Where the run's wall time went: window compute, barrier wait,
+     * mailbox drain and control plane (seconds), and the lanes run
+     * away from their home worker. Written with the timings only. */
+    double computeSeconds = 0.0;
+    double barrierWaitSeconds = 0.0;
+    double drainSeconds = 0.0;
+    double controlSeconds = 0.0;
+    std::uint64_t lanesStolen = 0;
 };
 
 /** Sweep-level aggregate, derived from the cells. */

@@ -24,7 +24,7 @@
  *  - idleForPowerOff(c, s, now): may the autoscaler power @p s off;
  *  - rateChanged(c, now): c.rate just changed (hour boundary or MMPP
  *    flip);
- *  - reserveSize(): per-shard event-queue reservation;
+ *  - reserveSize(): per-lane event-queue reservation;
  *  - kFastMode: stamps the result and picks the mean-latency sum
  *    (assembleResult);
  *  - onBarrier(now), optional: defaults to hourBarrier(now).
@@ -60,7 +60,7 @@ struct Probe {
 /**
  * The per-cell state both engines share. A cell is a dispatch domain
  * (a contiguous block of servers) and a lane of the sharded queue;
- * within a window only the thread executing the cell's shard touches
+ * within a window only the thread executing the cell's lane touches
  * it, and every accumulator is merged in cell-index order, which is
  * what makes the run's observables shard-count-invariant.
  */
@@ -549,6 +549,11 @@ struct EnsembleCore {
         r.windows = stats.windows;
         r.shardEvents = std::move(stats.shardDispatched);
         r.meanWindowImbalance = stats.meanWindowImbalance;
+        r.computeSeconds = stats.computeSeconds;
+        r.barrierWaitSeconds = stats.barrierWaitSeconds;
+        r.drainSeconds = stats.drainSeconds;
+        r.controlSeconds = stats.controlSeconds;
+        r.lanesStolen = stats.lanesStolen;
 
         r.fastMode = Engine::kFastMode;
         std::size_t samples = std::size_t(cfg.cells) * cfg.hours;

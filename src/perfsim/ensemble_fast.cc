@@ -532,17 +532,17 @@ struct EnsembleFastSim : detail::EnsembleCore<EnsembleFastSim, FastCell> {
             integrateTo(c, s, now);
     }
 
-    /** Event population is tiny: one macro event per cell in flight,
-     * plus MMPP flips and spill posts. */
+    /** Per-lane event population is tiny: one macro event in
+     * flight, plus MMPP flips and spill posts. */
     std::size_t
     reserveSize() const
     {
-        return 4096;
+        return 1024;
     }
 
     /** Barrier callback: hour control plane when a boundary passed,
      * then seed every cell's next macro event at the window start
-     * (it runs first thing inside the next shard window, so the
+     * (it runs first thing inside the next window, so the
      * arrival synthesis itself executes in parallel). */
     void
     onBarrier(double now)

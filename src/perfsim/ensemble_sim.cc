@@ -399,15 +399,14 @@ struct EnsembleSim : detail::EnsembleCore<EnsembleSim, Cell> {
             setState(c, s, c.state[s], now);
     }
 
-    /** Expected per-shard event occupancy: a completion per busy slot
-     * plus a governor timer per awake server, split across shards. */
+    /** Expected per-lane event occupancy: a completion per busy slot
+     * plus a governor timer per awake server of one cell. */
     std::size_t
     reserveSize() const
     {
         return std::size_t(cfg.servers) *
-                   (std::size_t(cfg.serverSlots) + 1) /
-                   std::max(1u, std::min(cfg.shards, cfg.cells)) +
-               1024;
+                   (std::size_t(cfg.serverSlots) + 1) / cfg.cells +
+               256;
     }
 
     void

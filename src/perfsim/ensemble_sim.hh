@@ -99,10 +99,12 @@ struct EnsembleConfig {
      * the sharded queue). Part of the model topology: changing it
      * changes results, unlike shards/workers. */
     unsigned cells = 16;
-    unsigned shards = 1;  //!< physical event queues (execution knob)
-    /** Threads executing shards; 0 = min(shards, defaultThreads()). */
+    /** Lane blocks: the cells each worker runs first, the unit of
+     * shardEvents, and the cap on workers (execution knob). */
+    unsigned shards = 1;
+    /** Threads executing cells; 0 = min(shards, defaultThreads()). */
     unsigned workers = 1;
-    /** Event-ordering backend of every shard queue. An execution
+    /** Event-ordering backend of every cell's queue. An execution
      * knob like shards/workers: both backends dispatch the identical
      * (time, seq) order, so results are byte-identical either way.
      * The calendar is the default fast path; the heap stays
@@ -199,11 +201,20 @@ struct EnsembleResult {
 
     /** Per-shard dispatch totals and the mean per-window imbalance
      * (busiest shard's share x shards; 1.0 = balanced). Execution
-     * observables — they depend on the shard count and lane packing,
-     * so they are excluded from identity comparisons, like
-     * wallSeconds. */
+     * observables — they depend on the shard count, so they are
+     * excluded from identity comparisons, like wallSeconds. */
     std::vector<std::uint64_t> shardEvents;
     double meanWindowImbalance = 1.0;
+    /** Where the run's wall time went (see
+     * sim::ShardedEventQueue::RunStats): window compute, barrier
+     * wait, mailbox drain and the control plane, plus the cells run
+     * by a worker other than their shard's home one. Wall-clock
+     * execution observables, excluded like wallSeconds. */
+    double computeSeconds = 0.0;
+    double barrierWaitSeconds = 0.0;
+    double drainSeconds = 0.0;
+    double controlSeconds = 0.0;
+    std::uint64_t lanesStolen = 0;
 
     /** True when this result came from the fast-mode/2 macro-event
      * engine; reports stamp the contract version only then. */

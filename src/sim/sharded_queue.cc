@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
+#include <exception>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 #include "util/logging.hh"
 
@@ -15,7 +18,7 @@ namespace {
 
 /** Spin iterations before a worker parks on the condition variable.
  * Ensemble windows are microseconds of work; parking between them
- * would cost a futex round trip per shard per window. The budget is
+ * would cost a futex round trip per worker per window. The budget is
  * large enough to cover any window the control plane doesn't stall,
  * small enough that a genuinely idle worker yields the core fast. */
 constexpr unsigned kSpinBudget = 1u << 14;
@@ -33,27 +36,40 @@ cpuRelax()
 /**
  * A persistent spin-then-park worker team for one run() call.
  *
- * The main thread publishes work by bumping `epoch` (release); the
- * N-1 helper threads spin on it (acquire) and then claim shard
- * indices from a shared cursor. Completion is a done-counter the
- * main thread spins on. Everything a worker wrote before its
- * done-increment (queue mutations, outbox rows, stats slots) is
- * visible to the main thread after it observes the count, and
- * everything the main thread wrote before the epoch bump (window
- * horizon, phase, control-plane effects) is visible to the workers —
- * the two atomics carry all the happens-before edges the windows
- * need, which is what the TSan job checks end to end.
+ * The main thread (worker 0) publishes work by bumping `epoch`
+ * (release); the workers - 1 helper threads spin on it (acquire) and
+ * then claim lanes. Worker w walks the shards starting at its first
+ * home shard (shard s is at home on worker s * workers / shards), so
+ * it drains its own block first and then takes whole lanes from the
+ * others, each lane claimed through its shard's atomic cursor.
+ * Completion is a round counter the main thread spins on: a worker
+ * leaves its claim loop only once every cursor is exhausted and its
+ * own lanes are done. Everything a worker wrote before its round
+ * increment (queue mutations, outbox rows, stats slots) is visible to
+ * the main thread after it observes the count, and everything the
+ * main thread wrote before the epoch bump (window horizon, phase,
+ * control-plane effects) is visible to the workers — the two atomics
+ * carry all the happens-before edges the windows need, which is what
+ * the TSan job checks end to end.
  */
 class Team
 {
   public:
     using WorkFn = std::function<void(unsigned)>;
 
-    explicit Team(unsigned helpers) : helpers_(helpers)
+    Team(unsigned workers, const std::vector<unsigned> &shardBegin)
+        : shardBegin_(shardBegin),
+          nShards_(unsigned(shardBegin.size() - 1)),
+          cursors_(new Cursor[nShards_]), slots_(new Slot[workers]),
+          homeFirst_(workers)
     {
-        threads_.reserve(helpers);
-        for (unsigned i = 0; i < helpers; ++i)
-            threads_.emplace_back([this] { helperMain(); });
+        // First shard s with s * workers / nShards == w.
+        for (unsigned w = 0; w < workers; ++w)
+            homeFirst_[w] = unsigned(
+                (std::uint64_t(w) * nShards_ + workers - 1) / workers);
+        threads_.reserve(workers - 1);
+        for (unsigned w = 1; w < workers; ++w)
+            threads_.emplace_back([this, w] { helperMain(w); });
     }
 
     ~Team()
@@ -68,18 +84,17 @@ class Team
             t.join();
     }
 
-    /** Run work(i) for i in [0, tasks) across the helpers and the
-     * calling thread; returns when every index completed AND every
-     * helper has left the claim loop (quiescence — without it a
-     * helper's final failed claim could straddle the next round's
-     * cursor reset and steal an index). */
+    /** Run work(lane) once for every lane across the helpers and the
+     * calling thread; returns when every helper has left the claim
+     * loop (quiescence — without it a helper's final failed claim
+     * could straddle the next round's cursor reset and take a
+     * lane). */
     void
-    fanOut(unsigned tasks, const WorkFn &work)
+    fanOut(const WorkFn &work)
     {
-        tasks_ = tasks;
         work_ = &work;
-        cursor_.store(0, std::memory_order_relaxed);
-        done_.store(0, std::memory_order_relaxed);
+        for (unsigned s = 0; s < nShards_; ++s)
+            cursors_[s].next.store(0, std::memory_order_relaxed);
         roundDone_.store(0, std::memory_order_relaxed);
         {
             // The empty critical section orders the epoch bump
@@ -90,29 +105,105 @@ class Team
             epoch_.fetch_add(1, std::memory_order_release);
         }
         cv_.notify_all();
-        claimLoop();
-        while (done_.load(std::memory_order_acquire) < tasks_ ||
-               roundDone_.load(std::memory_order_acquire) < helpers_)
+        guardedClaimLoop(0);
+        while (roundDone_.load(std::memory_order_acquire) <
+               threads_.size())
             cpuRelax();
+        // Rethrown only after quiescence, so no helper still runs
+        // work() when the caller unwinds; lowest worker index first.
+        std::exception_ptr error;
+        for (unsigned w = 0; w < workers(); ++w) {
+            std::exception_ptr e = std::exchange(slots_[w].error, nullptr);
+            if (!error)
+                error = e;
+        }
+        if (error)
+            std::rethrow_exception(error);
+    }
+
+    /** Mean over workers of the last round's time in the claim
+     * loop. */
+    double
+    meanBusySeconds() const
+    {
+        double sum = 0.0;
+        for (unsigned w = 0; w < workers(); ++w)
+            sum += slots_[w].busy;
+        return sum / double(workers());
+    }
+
+    /** Lanes the last round ran away from their home worker. */
+    std::uint64_t
+    stolen() const
+    {
+        std::uint64_t sum = 0;
+        for (unsigned w = 0; w < workers(); ++w)
+            sum += slots_[w].stolen;
+        return sum;
     }
 
   private:
+    /** Own cache line each: the cursors are hammered by every
+     * worker, the slots written by one worker per round. */
+    struct alignas(64) Cursor {
+        std::atomic<unsigned> next{0};
+    };
+    struct alignas(64) Slot {
+        double busy = 0.0;
+        std::uint64_t stolen = 0;
+        std::exception_ptr error; //!< what work() threw this round
+    };
+
+    unsigned workers() const { return unsigned(homeFirst_.size()); }
+
     void
-    claimLoop()
+    claimLoop(unsigned w)
     {
+        auto t0 = std::chrono::steady_clock::now();
         const WorkFn &work = *work_;
-        for (;;) {
-            unsigned i =
-                cursor_.fetch_add(1, std::memory_order_relaxed);
-            if (i >= tasks_)
-                return;
-            work(i);
-            done_.fetch_add(1, std::memory_order_acq_rel);
+        std::uint64_t stolen = 0;
+        unsigned s = homeFirst_[w];
+        for (unsigned k = 0; k < nShards_; ++k, ++s) {
+            if (s == nShards_)
+                s = 0;
+            const unsigned lo = shardBegin_[s];
+            const unsigned n = shardBegin_[s + 1] - lo;
+            const bool home =
+                std::uint64_t(s) * workers() / nShards_ == w;
+            std::atomic<unsigned> &cursor = cursors_[s].next;
+            // The plain load skips exhausted shards without a
+            // read-modify-write on a contended line.
+            while (cursor.load(std::memory_order_relaxed) < n) {
+                unsigned i =
+                    cursor.fetch_add(1, std::memory_order_relaxed);
+                if (i >= n)
+                    break;
+                work(lo + i);
+                stolen += !home;
+            }
+        }
+        slots_[w].busy = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+        slots_[w].stolen = stolen;
+    }
+
+    /** claimLoop, with a throwing work() (a panicking model event)
+     * parked in the worker's slot for fanOut to rethrow: an exception
+     * may not escape a thread, nor unwind the caller while helpers
+     * still run. */
+    void
+    guardedClaimLoop(unsigned w)
+    {
+        try {
+            claimLoop(w);
+        } catch (...) {
+            slots_[w].error = std::current_exception();
         }
     }
 
     void
-    helperMain()
+    helperMain(unsigned w)
     {
         std::uint64_t seen = 0;
         for (;;) {
@@ -131,23 +222,33 @@ class Team
             seen = epoch_.load(std::memory_order_acquire);
             if (stop_.load(std::memory_order_relaxed))
                 return;
-            claimLoop();
+            guardedClaimLoop(w);
             roundDone_.fetch_add(1, std::memory_order_acq_rel);
         }
     }
 
-    const unsigned helpers_;
-    std::vector<std::thread> threads_;
+    const std::vector<unsigned> &shardBegin_;
+    const unsigned nShards_;
+    std::unique_ptr<Cursor[]> cursors_;
+    std::unique_ptr<Slot[]> slots_;
+    std::vector<unsigned> homeFirst_;
     std::atomic<std::uint64_t> epoch_{0};
-    std::atomic<unsigned> cursor_{0};
-    std::atomic<unsigned> done_{0};
     std::atomic<unsigned> roundDone_{0};
     std::atomic<bool> stop_{false};
-    unsigned tasks_ = 0;
     const WorkFn *work_ = nullptr;
     std::mutex m_;
     std::condition_variable cv_;
+    /** Last: the helpers use every member above. */
+    std::vector<std::thread> threads_;
 };
+
+double
+secondsSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+}
 
 } // namespace
 
@@ -157,13 +258,16 @@ ShardedEventQueue::ShardedEventQueue(unsigned lanes, unsigned shards,
 {
     WSC_ASSERT(lanes >= 1, "need at least one lane");
     shards = std::max(1u, std::min(shards, lanes));
-    queues_.reserve(shards);
-    for (unsigned s = 0; s < shards; ++s)
-        queues_.push_back(std::make_unique<EventQueue>(kind));
-    laneShard_.resize(lanes);
+    queues_.reserve(lanes);
     for (unsigned l = 0; l < lanes; ++l)
-        laneShard_[l] =
-            unsigned(std::uint64_t(l) * shards / lanes);
+        queues_.push_back(std::make_unique<EventQueue>(kind));
+    // Walking down leaves each shard's first lane in shardBegin_.
+    laneShard_.resize(lanes);
+    shardBegin_.assign(shards + 1, lanes);
+    for (unsigned l = lanes; l-- > 0;) {
+        laneShard_[l] = unsigned(std::uint64_t(l) * shards / lanes);
+        shardBegin_[laneShard_[l]] = l;
+    }
     outbox_.resize(std::size_t(lanes) * lanes);
 }
 
@@ -174,7 +278,7 @@ ShardedEventQueue::post(unsigned srcLane, unsigned dstLane, Time when,
     WSC_ASSERT(srcLane < lanes() && dstLane < lanes(),
                "lane out of range");
     // A message landing inside the current window would arrive at a
-    // shard that may already have advanced past it: the send delay
+    // lane that may already have advanced past it: the send delay
     // must cover the lookahead.
     WSC_ASSERT(when >= windowEnd_,
                "cross-lane post inside the lookahead window");
@@ -183,25 +287,19 @@ ShardedEventQueue::post(unsigned srcLane, unsigned dstLane, Time when,
 }
 
 std::uint64_t
-ShardedEventQueue::drainShard(unsigned shard)
+ShardedEventQueue::drainLane(unsigned dst)
 {
-    // (dst asc, src asc, send order) — exactly the slice of the
-    // serial drain's order that touches this shard's queue, so the
-    // queue's seq assignment is identical however many threads the
-    // drain fans over.
+    // (src asc, send order): the lane's queue assigns the same seq
+    // numbers however many threads the drain fans over.
     const unsigned nLanes = lanes();
+    EventQueue &q = *queues_[dst];
     std::uint64_t moved = 0;
-    for (unsigned dst = 0; dst < nLanes; ++dst) {
-        if (laneShard_[dst] != shard)
-            continue;
-        for (unsigned src = 0; src < nLanes; ++src) {
-            auto &box = outbox_[std::size_t(src) * nLanes + dst];
-            for (Msg &m : box) {
-                queues_[shard]->schedule(m.when, std::move(m.action));
-                ++moved;
-            }
-            box.clear();
-        }
+    for (unsigned src = 0; src < nLanes; ++src) {
+        auto &box = outbox_[std::size_t(src) * nLanes + dst];
+        for (Msg &m : box)
+            q.schedule(m.when, std::move(m.action));
+        moved += box.size();
+        box.clear();
     }
     return moved;
 }
@@ -211,17 +309,19 @@ ShardedEventQueue::run(Time until, Time lookahead, unsigned workers,
                        const BarrierFn &onBarrier)
 {
     WSC_ASSERT(lookahead > 0.0, "lookahead must be positive");
+    using Clock = std::chrono::steady_clock;
     RunStats stats;
+    const unsigned nLanes = lanes();
     const unsigned nShards = shards();
     workers = std::max(1u, std::min(workers, nShards));
 
     // startDispatched anchors the run totals; mark is the rolling
     // per-window baseline for the imbalance stat.
-    std::vector<std::uint64_t> startDispatched(nShards), mark(nShards);
-    std::vector<std::uint64_t> drained(nShards, 0);
-    for (unsigned s = 0; s < nShards; ++s)
-        startDispatched[s] = mark[s] = queues_[s]->dispatched();
-    stats.shardDispatched.assign(nShards, 0);
+    std::vector<std::uint64_t> startDispatched(nLanes), mark(nLanes);
+    std::vector<std::uint64_t> drained(nLanes, 0);
+    for (unsigned l = 0; l < nLanes; ++l)
+        startDispatched[l] = mark[l] = queues_[l]->dispatched();
+    std::vector<std::uint64_t> windowShard(nShards);
     double imbalanceSum = 0.0;
     std::uint64_t imbalanceWindows = 0;
 
@@ -229,72 +329,84 @@ ShardedEventQueue::run(Time until, Time lookahead, unsigned workers,
     // first page faults are paid once, and each window's two fan-out
     // phases cost an atomic bump plus bounded spinning.
     std::unique_ptr<Team> team;
-    if (workers > 1 && nShards > 1)
-        team = std::make_unique<Team>(workers - 1);
+    if (workers > 1)
+        team = std::make_unique<Team>(workers, shardBegin_);
 
     Time t = windowStart_;
     while (t < until) {
         Time end = std::min(t + lookahead, until);
         windowEnd_ = end;
 
-        // Phase 1: advance every shard to the common horizon. Even
-        // one shard runs through this same windowed loop so
-        // message-delivery seq numbers interleave identically at
-        // every shard count. Shards write only their own queue and
-        // their own lanes' outbox rows, so the phase needs no locks.
+        // Phase 1: advance every lane to the common horizon. Lanes
+        // write only their own queue and their own outbox rows, so
+        // the phase needs no locks.
+        auto t0 = Clock::now();
         if (team) {
-            team->fanOut(nShards, [&](unsigned s) {
-                queues_[s]->run(end);
-            });
+            team->fanOut([&](unsigned l) { queues_[l]->run(end); });
+            double busy = team->meanBusySeconds();
+            stats.computeSeconds += busy;
+            stats.barrierWaitSeconds +=
+                std::max(0.0, secondsSince(t0) - busy);
+            stats.lanesStolen += team->stolen();
         } else {
-            for (unsigned s = 0; s < nShards; ++s)
-                queues_[s]->run(end);
+            for (unsigned l = 0; l < nLanes; ++l)
+                queues_[l]->run(end);
+            stats.computeSeconds += secondsSince(t0);
         }
 
         // Per-window imbalance: how much of the window the busiest
         // shard carried.
+        std::fill(windowShard.begin(), windowShard.end(), 0);
         std::uint64_t windowTotal = 0, windowMax = 0;
-        for (unsigned s = 0; s < nShards; ++s) {
-            std::uint64_t d = queues_[s]->dispatched() - mark[s];
+        for (unsigned l = 0; l < nLanes; ++l) {
+            std::uint64_t d = queues_[l]->dispatched() - mark[l];
+            windowShard[laneShard_[l]] += d;
             windowTotal += d;
-            windowMax = std::max(windowMax, d);
         }
+        for (std::uint64_t d : windowShard)
+            windowMax = std::max(windowMax, d);
         if (windowTotal > 0) {
             imbalanceSum += double(windowMax) * double(nShards) /
                             double(windowTotal);
             ++imbalanceWindows;
         }
 
-        // Phase 2: deliver cross-lane messages. Each worker owns a
-        // whole destination shard, so per-queue schedule order (and
-        // therefore seq assignment) matches the serial drain.
+        // Phase 2: deliver cross-lane messages. Each destination
+        // lane is drained by one worker, so its queue's schedule
+        // order (and therefore seq assignment) matches the serial
+        // drain.
+        auto t1 = Clock::now();
         if (team) {
-            team->fanOut(nShards, [&](unsigned s) {
-                drained[s] = drainShard(s);
-            });
-            for (unsigned s = 0; s < nShards; ++s)
-                stats.messages += drained[s];
+            team->fanOut(
+                [&](unsigned l) { drained[l] = drainLane(l); });
+            for (unsigned l = 0; l < nLanes; ++l)
+                stats.messages += drained[l];
         } else {
-            for (unsigned s = 0; s < nShards; ++s)
-                stats.messages += drainShard(s);
+            for (unsigned l = 0; l < nLanes; ++l)
+                stats.messages += drainLane(l);
         }
+        stats.drainSeconds += secondsSince(t1);
 
         windowStart_ = t = end;
         ++stats.windows;
-        if (onBarrier)
+        if (onBarrier) {
+            auto t2 = Clock::now();
             onBarrier(end);
+            stats.controlSeconds += secondsSince(t2);
+        }
 
         // Re-mark after the barrier so the next window's imbalance
         // counts only window work, not barrier deliveries.
-        for (unsigned s = 0; s < nShards; ++s)
-            mark[s] = queues_[s]->dispatched();
+        for (unsigned l = 0; l < nLanes; ++l)
+            mark[l] = queues_[l]->dispatched();
     }
 
-    for (unsigned s = 0; s < nShards; ++s) {
-        stats.shardDispatched[s] =
-            queues_[s]->dispatched() - startDispatched[s];
-        stats.dispatched += stats.shardDispatched[s];
-    }
+    stats.shardDispatched.assign(nShards, 0);
+    for (unsigned l = 0; l < nLanes; ++l)
+        stats.shardDispatched[laneShard_[l]] +=
+            queues_[l]->dispatched() - startDispatched[l];
+    for (std::uint64_t d : stats.shardDispatched)
+        stats.dispatched += d;
     if (imbalanceWindows > 0)
         stats.meanWindowImbalance =
             imbalanceSum / double(imbalanceWindows);
@@ -302,10 +414,10 @@ ShardedEventQueue::run(Time until, Time lookahead, unsigned workers,
 }
 
 void
-ShardedEventQueue::reserve(std::size_t eventsPerShard)
+ShardedEventQueue::reserve(std::size_t eventsPerLane)
 {
     for (auto &q : queues_)
-        q->reserve(eventsPerShard);
+        q->reserve(eventsPerLane);
 }
 
 EventQueue::Counters

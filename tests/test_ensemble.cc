@@ -324,7 +324,8 @@ TEST(Ensemble, ReportAccountingCloses)
     // Timings and shard balance are execution observables: present
     // with the timing switch on, absent from the identity bytes.
     for (const char *key :
-         {"\"wall_seconds\"", "\"shard_events\"", "\"window_imbalance\""}) {
+         {"\"wall_seconds\"", "\"shard_events\"", "\"window_imbalance\"",
+          "\"phase_seconds\"", "\"barrier_wait\"", "\"lanes_stolen\""}) {
         EXPECT_NE(json.find(key), std::string::npos) << key;
         EXPECT_EQ(id.find(key), std::string::npos) << key;
     }

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for trace persistence (text and streaming round trips)
- * and for wsc_memblade's --curve option checks, run on the built tool.
+ * and for wsc_memblade's option checks, run on the built tool.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "memblade/trace_io.hh"
 #include "memblade/trace_stream.hh"
@@ -201,6 +202,44 @@ TEST(MembladeTool, CurveRejectsHierarchy)
     std::string out;
     EXPECT_EQ(runMemblade("--hierarchy exclusive --curve 4", out), 1);
     EXPECT_NE(out.find("--curve cannot be combined with --hierarchy"),
+              std::string::npos)
+        << out;
+}
+
+// --generate writes the trace and exits: a replay mode beside it
+// would silently do nothing, so the tool refuses the combination
+// before writing anything.
+TEST(MembladeTool, GenerateRejectsReplayModes)
+{
+    std::string path = testing::TempDir() + "wsc_generate.strace";
+    const std::pair<const char *, const char *> cases[] = {
+        {" --curve 4", "--generate cannot be combined with --curve"},
+        {" --hierarchy inclusive",
+         "--generate cannot be combined with --hierarchy"},
+        {" --trace other.strace",
+         "--generate cannot be combined with --trace"},
+    };
+    for (const auto &[extra, message] : cases) {
+        std::string out;
+        EXPECT_EQ(runMemblade("--accesses 1000 --generate " + path +
+                                  extra,
+                              out),
+                  1)
+            << extra;
+        EXPECT_NE(out.find(message), std::string::npos) << out;
+        std::ifstream written(path);
+        EXPECT_FALSE(written.good()) << extra << " wrote " << path;
+    }
+}
+
+TEST(MembladeTool, FramesRejectedInSyntheticMode)
+{
+    std::string out;
+    EXPECT_EQ(runMemblade("--benchmark ytube --accesses 1000 "
+                          "--frames 5000",
+                          out),
+              1);
+    EXPECT_NE(out.find("--frames sizes --trace replays"),
               std::string::npos)
         << out;
 }

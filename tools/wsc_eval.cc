@@ -168,11 +168,13 @@ main(int argc, char **argv)
         .addOption("ensemble-cells",
                    "dispatch cells (model topology)", "16")
         .addOption("ensemble-shards",
-                   "event-queue shards (execution knob; results are "
-                   "bit-identical across shard counts)",
+                   "blocks of cells: each worker runs its own block's "
+                   "cells first, then takes whole cells from the "
+                   "others; caps the worker count (execution knob; "
+                   "results are bit-identical across shard counts)",
                    "1")
         .addOption("ensemble-workers",
-                   "threads executing the shards (0 = min(shards, "
+                   "threads executing the cells (0 = min(shards, "
                    "allowed CPUs))",
                    "1")
         .addOption("ensemble-hours", "simulated hours", "24")

@@ -109,7 +109,9 @@ main(int argc, char **argv)
                    "websearch")
         .addOption("trace", "replay this trace file instead", "")
         .addOption("frames",
-                   "local frames when replaying a trace file", "100000")
+                   "local frames when replaying a trace file (--trace "
+                   "only)",
+                   "100000")
         .addOption("local",
                    "local fraction of the footprint (synthetic mode)",
                    "0.25")
@@ -118,7 +120,8 @@ main(int argc, char **argv)
         .addOption("accesses", "synthetic trace length", "2000000")
         .addOption("seed", "RNG seed", "42")
         .addOption("generate",
-                   "write the synthetic trace to this file and exit",
+                   "write the synthetic trace to this file and exit "
+                   "(not with --trace, --curve or --hierarchy)",
                    "")
         .addOption("curve",
                    "print an N-point local-fraction LRU miss-rate "
@@ -181,6 +184,19 @@ main(int argc, char **argv)
         if (points > 0 && !path.empty() && !endsWith(path, ".strace"))
             fatal("--curve needs a .strace trace file (or a synthetic "
                   "--benchmark)");
+        // --generate writes the synthetic trace and exits, so every
+        // replay mode beside it would be ignored.
+        if (!args.get("generate").empty()) {
+            if (points > 0)
+                fatal("--generate cannot be combined with --curve");
+            if (hierarchical)
+                fatal("--generate cannot be combined with --hierarchy");
+            if (!path.empty())
+                fatal("--generate cannot be combined with --trace");
+        }
+        if (path.empty() && args.given("frames"))
+            fatal("--frames sizes --trace replays; synthetic replays "
+                  "take --local");
 
         ReplayStats stats;
         double touch_rate = 0.0;
