@@ -74,6 +74,7 @@
  */
 
 #include <algorithm>
+#include <cmath>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -142,17 +143,23 @@ run(int argc, char **argv)
     if (!args.parse(argc, argv))
         return 0;
 
-    double serversArg = args.getDouble("servers");
-    if (serversArg < 1 || serversArg > 4e6)
-        fatal("--servers must be in [1, 4e6]");
-    double repsArg = args.getDouble("reps");
-    if (repsArg < 1 || repsArg > 100)
-        fatal("--reps must be in [1, 100]");
-    unsigned reps = unsigned(repsArg);
-    double gateSeedsArg = args.getDouble("gate-seeds");
-    if (gateSeedsArg < 2 || gateSeedsArg > 8)
-        fatal("--gate-seeds must be in [2, 8]");
-    unsigned gateSeeds = unsigned(gateSeedsArg);
+    // Counts must be whole numbers in range: a fraction would be
+    // truncated silently, and an out-of-range value would reach the
+    // engine's own asserts as an abort instead of a usage error.
+    auto count = [&](const char *name, double lo, double hi,
+                     const char *range) {
+        double v = args.getDouble(name);
+        if (!(v >= lo && v <= hi) || v != std::floor(v))
+            fatal(std::string("--") + name + " must be a whole number in " +
+                  range);
+        return v;
+    };
+    double serversArg = count("servers", 1, 4e6, "[1, 4e6]");
+    auto reps = unsigned(count("reps", 1, 100, "[1, 100]"));
+    auto gateSeeds = unsigned(count("gate-seeds", 2, 8, "[2, 8]"));
+    auto cells = unsigned(count("cells", 1, std::min(serversArg, 4096.0),
+                                "[1, min(servers, 4096)]"));
+    auto hours = unsigned(count("hours", 1, 24, "[1, 24]"));
     double sph = args.getDouble("seconds-per-hour");
     if (sph <= 0.0)
         fatal("--seconds-per-hour must be positive");
@@ -160,8 +167,8 @@ run(int argc, char **argv)
 
     perfsim::EnsembleConfig cfg;
     cfg.servers = std::uint64_t(serversArg);
-    cfg.cells = unsigned(args.getDouble("cells"));
-    cfg.hours = unsigned(args.getDouble("hours"));
+    cfg.cells = cells;
+    cfg.hours = hours;
     cfg.secondsPerHour = sph;
     // Sustained full load rather than a diurnal valley: the bench
     // stresses kernel throughput at the fleet's design-point depth

@@ -1,7 +1,8 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulation kernels: event
- * queue throughput, processor-sharing resource, Zipf sampling, and
+ * queue throughput (closure EventQueue and typed ShardedEventQueue
+ * lanes), processor-sharing resource, Zipf sampling, and
  * the page-replacement policies, trace generation and stack-distance
  * engine that dominate the trace studies.
  */
@@ -9,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "flashcache/io_trace.hh"
@@ -19,6 +21,7 @@
 #include "sim/distributions.hh"
 #include "sim/event_queue.hh"
 #include "sim/resources.hh"
+#include "sim/sharded_queue.hh"
 #include "util/random.hh"
 
 using namespace wsc;
@@ -158,6 +161,126 @@ BM_QueueEnsembleMix(benchmark::State &state)
     state.SetLabel(sim::queueKindName(kind));
 }
 BENCHMARK(BM_QueueEnsembleMix)
+    ->Args({0, 1 << 8})
+    ->Args({1, 1 << 8})
+    ->Args({0, 1 << 12})
+    ->Args({1, 1 << 12})
+    ->Args({0, 1 << 16})
+    ->Args({1, 1 << 16});
+
+/** A run() model for the lane benches: @p fire runs a record,
+ * @p stale says whether it was retracted. */
+template <typename Stale, typename Fire>
+struct LaneModel {
+    Stale stale;
+    Fire fire;
+};
+
+/**
+ * Run @p lane (one lane, one worker) in windows of ~1024 records per
+ * benchmark iteration at @p rate live records per simulated second;
+ * items are the live records handled. The window loop's fixed cost
+ * is amortized over the window, so the rate is the typed lane's
+ * per-event cost.
+ */
+template <typename Model>
+void
+runLaneBench(benchmark::State &state, sim::ShardedEventQueue &lane,
+             double rate, Model &&model)
+{
+    const double window = 1024.0 / rate;
+    sim::Time until = lane.now();
+    for (auto _ : state) {
+        until += window;
+        lane.run(until, window, 1, model);
+    }
+    state.SetItemsProcessed(
+        std::int64_t(lane.counters().dispatched));
+    state.SetLabel(std::string("typed ") +
+                   sim::queueKindName(lane.kind()));
+}
+
+auto
+neverStale()
+{
+    return [](unsigned, std::uint64_t) { return false; };
+}
+
+void
+BM_LaneHold(benchmark::State &state)
+{
+    // BM_QueueHold on a typed lane of sim::ShardedEventQueue: the
+    // same depth and gaps, but each record is a 64-bit payload
+    // handed to one handler instead of a closure in a slot pool.
+    const auto kind = sim::QueueKind(state.range(0));
+    const auto depth = std::size_t(state.range(1));
+    sim::ShardedEventQueue lane(1, 1, kind);
+    lane.reserve(depth + 16);
+    SplitMix64 rng(42);
+    std::uint64_t sink = 0;
+    for (std::size_t i = 0; i < depth; ++i)
+        lane.schedule(0, rng.exponential(1.0), 0);
+    runLaneBench(state, lane, double(depth),
+                 LaneModel{neverStale(),
+                           [&](unsigned, sim::Time now,
+                               std::uint64_t payload,
+                               const sim::Parcel *) {
+                               sink += payload + 1;
+                               lane.schedule(
+                                   0, now + rng.exponential(1.0), 0);
+                           }});
+    benchmark::DoNotOptimize(sink);
+}
+BENCHMARK(BM_LaneHold)
+    ->Args({0, 1 << 8})
+    ->Args({1, 1 << 8})
+    ->Args({0, 1 << 12})
+    ->Args({1, 1 << 12})
+    ->Args({0, 1 << 16})
+    ->Args({1, 1 << 16})
+    ->Args({0, 1 << 18})
+    ->Args({1, 1 << 18});
+
+void
+BM_LaneEnsembleMix(benchmark::State &state)
+{
+    // BM_QueueEnsembleMix on a typed lane: every live record
+    // schedules a completion and re-arms one of `depth` governor
+    // timers. A re-arm bumps the timer's generation instead of
+    // cancelling, so the superseded record stays queued until it
+    // pops or a sweep drops it — the ensemble engine's retraction
+    // scheme.
+    const auto kind = sim::QueueKind(state.range(0));
+    const auto depth = std::size_t(state.range(1)); // power of two
+    constexpr std::uint64_t kTimerBit = std::uint64_t(1) << 62;
+    sim::ShardedEventQueue lane(1, 1, kind);
+    lane.reserve(2 * depth + 16);
+    SplitMix64 rng(7);
+    std::uint64_t sink = 0;
+    std::vector<std::uint32_t> gen(depth, 0);
+    for (std::size_t i = 0; i < depth; ++i)
+        lane.schedule(0, rng.exponential(0.25), 0);
+    std::size_t cursor = 0;
+    runLaneBench(
+        state, lane, 4.0 * double(depth),
+        LaneModel{[&](unsigned, std::uint64_t payload) {
+                      return (payload & kTimerBit) &&
+                             (std::uint32_t(payload >> 32) & 0x3fffffff) !=
+                                 (gen[std::uint32_t(payload)] & 0x3fffffff);
+                  },
+                  [&](unsigned, sim::Time now, std::uint64_t,
+                      const sim::Parcel *) {
+                      ++sink;
+                      lane.schedule(0, now + rng.exponential(0.25), 0);
+                      std::uint32_t g = ++gen[cursor] & 0x3fffffff;
+                      lane.schedule(0, now + 1.0,
+                                    kTimerBit | std::uint64_t(g) << 32 |
+                                        cursor);
+                      cursor = (cursor + 1) & (depth - 1);
+                  }});
+    benchmark::DoNotOptimize(sink);
+}
+BENCHMARK(BM_LaneEnsembleMix)
     ->Args({0, 1 << 8})
     ->Args({1, 1 << 8})
     ->Args({0, 1 << 12})

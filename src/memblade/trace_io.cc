@@ -60,34 +60,37 @@ readTraceText(std::istream &is)
 }
 
 void
-saveTrace(const std::string &path, const std::vector<PageId> &trace)
+checkTraceExtension(const std::string &path)
 {
-    if (endsWith(path, ".strace")) {
-        writeTraceStream(path, trace);
-    } else if (endsWith(path, ".trace")) {
-        std::ofstream os(path);
-        if (!os)
-            fatal("cannot open '" + path + "' for writing");
-        writeTraceText(os, trace);
-    } else {
+    if (!endsWith(path, ".strace") && !endsWith(path, ".trace"))
         fatal("unknown trace extension on '" + path +
               "' (use .trace or .strace)");
+}
+
+void
+saveTrace(const std::string &path, const std::vector<PageId> &trace)
+{
+    checkTraceExtension(path);
+    if (endsWith(path, ".strace")) {
+        writeTraceStream(path, trace);
+        return;
     }
+    std::ofstream os(path);
+    if (!os)
+        fatal("cannot open '" + path + "' for writing");
+    writeTraceText(os, trace);
 }
 
 std::vector<PageId>
 loadTrace(const std::string &path)
 {
+    checkTraceExtension(path);
     if (endsWith(path, ".strace"))
         return readTraceStreamPages(path);
-    if (endsWith(path, ".trace")) {
-        std::ifstream is(path);
-        if (!is)
-            fatal("cannot open '" + path + "'");
-        return readTraceText(is);
-    }
-    fatal("unknown trace extension on '" + path +
-          "' (use .trace or .strace)");
+    std::ifstream is(path);
+    if (!is)
+        fatal("cannot open '" + path + "'");
+    return readTraceText(is);
 }
 
 ReplayStats

@@ -39,6 +39,9 @@ std::vector<PageId> readTraceText(std::istream &is);
  * any other extension raises FatalError). */
 void saveTrace(const std::string &path,
                const std::vector<PageId> &trace);
+/** Raise FatalError unless @p path names a trace format (.trace or
+ * .strace); lets a tool reject an output path before any work. */
+void checkTraceExtension(const std::string &path);
 std::vector<PageId> loadTrace(const std::string &path);
 
 /**

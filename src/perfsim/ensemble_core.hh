@@ -25,6 +25,10 @@
  *  - rateChanged(c, now): c.rate just changed (hour boundary or MMPP
  *    flip);
  *  - reserveSize(): per-lane event-queue reservation;
+ *  - stale(lane, payload), fire(lane, now, payload, parcel): the
+ *    lane model sim::ShardedEventQueue::run drives — which records
+ *    the engine retracted by generation, and the handler every other
+ *    popped record reaches;
  *  - kFastMode: stamps the result and picks the mean-latency sum
  *    (assembleResult);
  *  - onBarrier(now), optional: defaults to hourBarrier(now).
@@ -48,6 +52,47 @@ namespace perfsim {
 namespace detail {
 
 constexpr unsigned kLatencyBins = 1024;
+
+/**
+ * Lane-record payload layout shared by both engines: an engine-
+ * defined kind in bits 60-62 (bit 63 is the sharded queue's), a
+ * 28-bit generation in bits 32-59 for records the model may retract,
+ * and a 32-bit argument (server, job or generation) in the low word.
+ */
+constexpr unsigned kKindShift = 60;
+constexpr unsigned kGenShift = 32;
+constexpr std::uint32_t kGenMask = (std::uint32_t(1) << 28) - 1;
+
+inline std::uint32_t
+genBits(std::uint32_t gen)
+{
+    return gen & kGenMask;
+}
+
+inline std::uint64_t
+lanePayload(unsigned kind, std::uint32_t arg, std::uint32_t gen = 0)
+{
+    return (std::uint64_t(kind) << kKindShift) |
+           (std::uint64_t(genBits(gen)) << kGenShift) | arg;
+}
+
+inline unsigned
+payloadKind(std::uint64_t p)
+{
+    return unsigned(p >> kKindShift) & 7u;
+}
+
+inline std::uint32_t
+payloadGen(std::uint64_t p)
+{
+    return std::uint32_t(p >> kGenShift) & kGenMask;
+}
+
+inline std::uint32_t
+payloadArg(std::uint64_t p)
+{
+    return std::uint32_t(p);
+}
 
 /** A p2c candidate's snapshot: can it start a job now, its load (in
  * service plus queued), and its queue depth. */
@@ -594,7 +639,7 @@ runEngine(const EnsembleConfig &cfg)
 
     auto t0 = std::chrono::steady_clock::now();
     auto stats = sim.sq.run(sim.horizon, cfg.networkLatencySeconds,
-                            workers,
+                            workers, sim,
                             [&](sim::Time now) { sim.onBarrier(now); });
     double wall = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - t0)

@@ -56,6 +56,13 @@ namespace perfsim {
 
 namespace {
 
+/** The fast engine's lane-record kinds (detail::lanePayload). */
+enum EventKind : unsigned {
+    kMacro, //!< the per-(cell, window) macro event
+    kFlip,  //!< MMPP phase flip
+    kSpill, //!< delivered spill; the parcel carries the job
+};
+
 /** Coarse per-server mode. Timeline servers carry their full state
  * implicitly (slot-free times + transition end + governor deadline);
  * SleepM/Off are materialized endpoints with flat power draw. */
@@ -397,12 +404,8 @@ struct EnsembleFastSim : detail::EnsembleCore<EnsembleFastSim, FastCell> {
                 ++c.spilled;
                 double at = t + cfg.networkLatencySeconds;
                 c.outSpills.emplace_back(tgt, at);
-                EnsembleFastSim *sim = this;
-                sq.post(ci, tgt, at,
-                        [sim, tgt, arrival, service] {
-                            sim->spillDeliver(tgt, arrival,
-                                              service);
-                        });
+                sq.post(ci, tgt, at, detail::lanePayload(kSpill, 0),
+                        {arrival, service});
                 return;
             }
         }
@@ -469,20 +472,18 @@ struct EnsembleFastSim : detail::EnsembleCore<EnsembleFastSim, FastCell> {
      * spill deliveries inside the window extend the synthesis as
      * they fire. */
     void
-    macroEvent(std::uint32_t ci)
+    macroEvent(std::uint32_t ci, double t)
     {
         FastCell &c = cells[ci];
-        double t = sq.laneQueue(ci).now();
         c.winEnd = std::min(t + cfg.networkLatencySeconds, horizon);
         drainGov(c, t);
         synthUpTo(ci, c, c.winEnd);
     }
 
     void
-    mmppFlip(std::uint32_t ci)
+    mmppFlip(std::uint32_t ci, double now)
     {
         FastCell &c = cells[ci];
-        double now = sq.laneQueue(ci).now();
         synthUpTo(ci, c, now);
         c.inBurst = !c.inBurst;
         c.rate = burstRate(c);
@@ -490,9 +491,7 @@ struct EnsembleFastSim : detail::EnsembleCore<EnsembleFastSim, FastCell> {
             c.inBurst ? cfg.mmpp.burstMeanSeconds
                       : cfg.mmpp.calmMeanSeconds);
         c.nextFlip = now + dwell;
-        EnsembleFastSim *sim = this;
-        sq.laneQueue(ci).schedule(
-            c.nextFlip, [sim, ci] { sim->mmppFlip(ci); });
+        sq.schedule(ci, c.nextFlip, detail::lanePayload(kFlip, 0));
         // The open window's remainder runs at the new rate from the
         // flip instant: exact MMPP modulation, not a window-start
         // snapshot.
@@ -503,10 +502,10 @@ struct EnsembleFastSim : detail::EnsembleCore<EnsembleFastSim, FastCell> {
      * retire its split point, and dispatch it — in exact arrival
      * order relative to the target's own synthesized stream. */
     void
-    spillDeliver(std::uint32_t ci, double arrival, double service)
+    spillDeliver(std::uint32_t ci, double d, double arrival,
+                 double service)
     {
         FastCell &c = cells[ci];
-        double d = sq.laneQueue(ci).now();
         synthUpTo(ci, c, d);
         if (c.inSpillHead < c.inSpills.size() &&
             c.inSpills[c.inSpillHead] <= d)
@@ -565,10 +564,34 @@ struct EnsembleFastSim : detail::EnsembleCore<EnsembleFastSim, FastCell> {
             std::sort(c.inSpills.begin(), c.inSpills.end());
         if (now >= horizon)
             return;
-        EnsembleFastSim *sim = this;
         for (std::uint32_t ci = 0; ci < cfg.cells; ++ci)
-            sq.laneQueue(ci).schedule(
-                now, [sim, ci] { sim->macroEvent(ci); });
+            sq.schedule(ci, now, detail::lanePayload(kMacro, 0));
+    }
+
+    /** The fast engine retracts nothing. */
+    bool
+    stale(unsigned, std::uint64_t) const
+    {
+        return false;
+    }
+
+    /** The lane handler: one switch per record. */
+    void
+    fire(unsigned lane, double now, std::uint64_t payload,
+         const sim::Parcel *parcel)
+    {
+        switch (detail::payloadKind(payload)) {
+          case kMacro:
+            macroEvent(lane, now);
+            return;
+          case kFlip:
+            mmppFlip(lane, now);
+            return;
+          case kSpill:
+            spillDeliver(lane, now, parcel->a, parcel->b);
+            return;
+        }
+        panic("unknown fast-engine lane record");
     }
 
     void
@@ -591,14 +614,10 @@ struct EnsembleFastSim : detail::EnsembleCore<EnsembleFastSim, FastCell> {
         if (cfg.mmpp.enabled) {
             double dwell = c.arr.exponential(cfg.mmpp.calmMeanSeconds);
             c.nextFlip = dwell;
-            EnsembleFastSim *sim = this;
-            sq.laneQueue(ci).schedule(
-                dwell, [sim, ci] { sim->mmppFlip(ci); });
+            sq.schedule(ci, dwell, detail::lanePayload(kFlip, 0));
         }
         // First window's macro event.
-        EnsembleFastSim *sim = this;
-        sq.laneQueue(ci).schedule(
-            0.0, [sim, ci] { sim->macroEvent(ci); });
+        sq.schedule(ci, 0.0, detail::lanePayload(kMacro, 0));
     }
 };
 

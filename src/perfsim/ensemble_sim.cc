@@ -7,8 +7,6 @@
 
 #include "perfsim/ensemble_core.hh"
 
-#include "perfsim/request_arena.hh"
-
 namespace wsc {
 namespace perfsim {
 
@@ -77,15 +75,27 @@ struct ExpBatch {
     }
 };
 
-/** Pooled per-job state; queued jobs chain through `next`. */
+/** Per-job state in a cell's job pool; queued jobs chain through
+ * `next` (pool index, 0 = none). */
 struct Job {
     double arrival = 0.0;
     double service = 0.0;
-    RequestHandle next = 0;
+    std::uint32_t server = 0; //!< where it is queued or in service
+    std::uint32_t next = 0;
+};
+
+/** The exact engine's lane-record kinds (detail::lanePayload). */
+enum EventKind : unsigned {
+    kArrival,    //!< arg: arrival generation
+    kCompletion, //!< arg: job index
+    kTransition, //!< arg: server (wake or boot done)
+    kSleepTimer, //!< arg: server; gen: its timer generation
+    kFlip,       //!< MMPP phase flip
+    kSpill,      //!< delivered spill; the parcel carries the job
 };
 
 /** An exact-engine cell: the shared cell plus an event-driven state
- * machine per server, a job arena, and the pending arrival. */
+ * machine per server, a job pool, and the pending arrival. */
 struct Cell : detail::CellBase {
     /** The arrival-side draws (inter-arrival delays, service times,
      * MMPP dwells) are all exponential, so they share one batch of
@@ -96,14 +106,31 @@ struct Cell : detail::CellBase {
     std::vector<ServerState> state;
     std::vector<std::uint8_t> busy;    //!< slots in service
     std::vector<std::uint32_t> queued; //!< jobs waiting
-    std::vector<RequestHandle> qHead, qTail;
-    std::vector<sim::EventId> timer;   //!< pending idle->sleep timer
+    std::vector<std::uint32_t> qHead, qTail;
+    /** Generation of the server's idle->sleep timer: arming or
+     * cancelling bumps it, so only the last armed record fires. */
+    std::vector<std::uint32_t> timerGen;
     std::vector<double> lastChange;    //!< energy-integration mark
 
-    RequestArena<Job> arena;
+    /** Job pool; slot 0 is the null sentinel. */
+    std::vector<Job> jobs;
+    std::vector<std::uint32_t> freeJobs;
 
     double meanGap = 0.0;  //!< 1 / rate, cached off the arrival path
-    sim::EventId arrivalEvent = 0;
+    /** Generation of the pending arrival (bumped on every redraw). */
+    std::uint32_t arrivalGen = 0;
+
+    std::uint32_t
+    acquireJob()
+    {
+        if (freeJobs.empty()) {
+            jobs.emplace_back();
+            return std::uint32_t(jobs.size() - 1);
+        }
+        std::uint32_t j = freeJobs.back();
+        freeJobs.pop_back();
+        return j;
+    }
 };
 
 struct EnsembleSim : detail::EnsembleCore<EnsembleSim, Cell> {
@@ -143,13 +170,18 @@ struct EnsembleSim : detail::EnsembleCore<EnsembleSim, Cell> {
         c.state[s] = ns;
     }
 
+    /** Retract the server's pending idle->sleep timer, if any. */
     void
     cancelTimer(Cell &c, std::uint32_t s)
     {
-        if (c.timer[s]) {
-            sq.laneQueue(c.idx).cancel(c.timer[s]);
-            c.timer[s] = 0;
-        }
+        ++c.timerGen[s];
+    }
+
+    void
+    armTimer(Cell &c, std::uint32_t s, double when)
+    {
+        sq.schedule(c.idx, when,
+                    detail::lanePayload(kSleepTimer, s, ++c.timerGen[s]));
     }
 
     bool
@@ -168,14 +200,10 @@ struct EnsembleSim : detail::EnsembleCore<EnsembleSim, Cell> {
     }
 
     void
-    scheduleCompletion(Cell &c, std::uint32_t s, RequestHandle h,
-                       double now)
+    scheduleCompletion(Cell &c, std::uint32_t j, double now)
     {
-        EnsembleSim *sim = this;
-        std::uint32_t ci = c.idx;
-        sq.laneQueue(ci).schedule(
-            now + c.arena.get(h).service,
-            [sim, ci, s, h] { sim->complete(ci, s, h); });
+        sq.schedule(c.idx, now + c.jobs[j].service,
+                    detail::lanePayload(kCompletion, j));
     }
 
     void
@@ -183,12 +211,10 @@ struct EnsembleSim : detail::EnsembleCore<EnsembleSim, Cell> {
     {
         setState(c, s, boot ? ServerState::Booting : ServerState::Waking,
                  now);
-        EnsembleSim *sim = this;
-        std::uint32_t ci = c.idx;
-        sq.laneQueue(ci).schedule(
-            now + (boot ? cfg.power.bootSeconds
-                        : cfg.power.sleepWakeSeconds),
-            [sim, ci, s] { sim->transitionDone(ci, s); });
+        sq.schedule(c.idx,
+                    now + (boot ? cfg.power.bootSeconds
+                                : cfg.power.sleepWakeSeconds),
+                    detail::lanePayload(kTransition, s));
     }
 
     void
@@ -208,33 +234,29 @@ struct EnsembleSim : detail::EnsembleCore<EnsembleSim, Cell> {
     assign(Cell &c, std::uint32_t s, double arrival, double service,
            double now)
     {
-        RequestHandle h = c.arena.acquire();
-        Job &j = c.arena.get(h);
-        j.arrival = arrival;
-        j.service = service;
+        std::uint32_t j = c.acquireJob();
+        c.jobs[j] = {arrival, service, s, 0};
         if (open(c, s)) {
             if (c.state[s] == ServerState::Idle) {
                 cancelTimer(c, s);
                 setState(c, s, ServerState::Active, now);
             }
             ++c.busy[s];
-            scheduleCompletion(c, s, h, now);
+            scheduleCompletion(c, j, now);
         } else {
             if (c.qTail[s])
-                c.arena.get(c.qTail[s]).next = h;
+                c.jobs[c.qTail[s]].next = j;
             else
-                c.qHead[s] = h;
-            c.qTail[s] = h;
+                c.qHead[s] = j;
+            c.qTail[s] = j;
             ++c.queued[s];
         }
     }
 
     void
-    dispatch(std::uint32_t ci, double arrival, double service,
-             bool forwarded)
+    dispatch(Cell &c, double arrival, double service, bool forwarded,
+             double now)
     {
-        Cell &c = cells[ci];
-        double now = sq.laneQueue(ci).now();
         detail::Probe pr{};
         std::uint32_t s = pickServer(c, now, pr);
         if (!pr.open) {
@@ -252,14 +274,12 @@ struct EnsembleSim : detail::EnsembleCore<EnsembleSim, Cell> {
                 // Forwarded jobs never re-spill, so no ping-pong.
                 auto t = std::uint32_t(
                     c.rng.pick(cfg.cells - 1));
-                if (t >= ci)
+                if (t >= c.idx)
                     ++t;
                 ++c.spilled;
-                EnsembleSim *sim = this;
-                sq.post(ci, t, now + cfg.networkLatencySeconds,
-                        [sim, t, arrival, service] {
-                            sim->dispatch(t, arrival, service, true);
-                        });
+                sq.post(c.idx, t, now + cfg.networkLatencySeconds,
+                        detail::lanePayload(kSpill, 0),
+                        {arrival, service});
                 return;
             }
         }
@@ -270,14 +290,8 @@ struct EnsembleSim : detail::EnsembleCore<EnsembleSim, Cell> {
     enterIdle(Cell &c, std::uint32_t s, double now)
     {
         setState(c, s, ServerState::Idle, now);
-        if (cfg.policy != EnsemblePolicy::AlwaysOn) {
-            cancelTimer(c, s);
-            EnsembleSim *sim = this;
-            std::uint32_t ci = c.idx;
-            c.timer[s] = sq.laneQueue(ci).schedule(
-                now + cfg.power.idleToSleepSeconds,
-                [sim, ci, s] { sim->sleepTimer(ci, s); });
-        }
+        if (cfg.policy != EnsemblePolicy::AlwaysOn)
+            armTimer(c, s, now + cfg.power.idleToSleepSeconds);
     }
 
     /** Start queued jobs into free slots, then settle the server's
@@ -286,15 +300,15 @@ struct EnsembleSim : detail::EnsembleCore<EnsembleSim, Cell> {
     pump(Cell &c, std::uint32_t s, double now)
     {
         while (c.busy[s] < cfg.serverSlots && c.qHead[s]) {
-            RequestHandle h = c.qHead[s];
-            Job &j = c.arena.get(h);
-            c.qHead[s] = j.next;
+            std::uint32_t j = c.qHead[s];
+            Job &job = c.jobs[j];
+            c.qHead[s] = job.next;
             if (!c.qHead[s])
                 c.qTail[s] = 0;
-            j.next = 0;
+            job.next = 0;
             --c.queued[s];
             ++c.busy[s];
-            scheduleCompletion(c, s, h, now);
+            scheduleCompletion(c, j, now);
         }
         if (c.busy[s] > 0) {
             if (c.state[s] != ServerState::Active)
@@ -305,32 +319,21 @@ struct EnsembleSim : detail::EnsembleCore<EnsembleSim, Cell> {
     }
 
     void
-    complete(std::uint32_t ci, std::uint32_t s, RequestHandle h)
+    complete(Cell &c, std::uint32_t j, double now)
     {
-        Cell &c = cells[ci];
-        double now = sq.laneQueue(ci).now();
-        double latency = now - c.arena.get(h).arrival;
-        recordLatency(c, latency, now);
-        c.arena.release(h);
+        const Job &job = c.jobs[j];
+        std::uint32_t s = job.server;
+        recordLatency(c, now - job.arrival, now);
+        c.freeJobs.push_back(j);
         --c.busy[s];
         pump(c, s, now);
     }
 
     void
-    transitionDone(std::uint32_t ci, std::uint32_t s)
+    sleepTimer(Cell &c, std::uint32_t s, double now)
     {
-        Cell &c = cells[ci];
-        pump(c, s, sq.laneQueue(ci).now());
-    }
-
-    void
-    sleepTimer(std::uint32_t ci, std::uint32_t s)
-    {
-        Cell &c = cells[ci];
-        c.timer[s] = 0;
         if (c.state[s] == ServerState::Idle) {
-            setState(c, s, ServerState::Sleep,
-                     sq.laneQueue(ci).now());
+            setState(c, s, ServerState::Sleep, now);
             ++c.sleeps;
         }
     }
@@ -338,23 +341,18 @@ struct EnsembleSim : detail::EnsembleCore<EnsembleSim, Cell> {
     void
     rescheduleArrival(Cell &c, double now)
     {
-        if (c.arrivalEvent) {
-            sq.laneQueue(c.idx).cancel(c.arrivalEvent);
-            c.arrivalEvent = 0;
-        }
+        ++c.arrivalGen; // retracts the pending arrival, if any
         if (c.rate > 0.0) {
             double delay = c.unitExp.next(c.arr) * c.meanGap;
-            EnsembleSim *sim = this;
-            std::uint32_t ci = c.idx;
-            c.arrivalEvent = sq.laneQueue(ci).schedule(
-                now + delay, [sim, ci] { sim->arrive(ci); });
+            sq.schedule(c.idx, now + delay,
+                        detail::lanePayload(kArrival, c.arrivalGen));
         }
     }
 
     /** Rate changes are control-plane (hour boundaries, MMPP flips):
      * cache the mean gap for the per-arrival draw and redraw the
      * pending arrival. Exponential inter-arrivals are memoryless, so
-     * cancelling the pending arrival and redrawing at the new rate is
+     * retracting the pending arrival and redrawing at the new rate is
      * an exact rate change, not an approximation. */
     void
     rateChanged(Cell &c, double now)
@@ -364,32 +362,72 @@ struct EnsembleSim : detail::EnsembleCore<EnsembleSim, Cell> {
     }
 
     void
-    arrive(std::uint32_t ci)
+    arrive(Cell &c, double now)
     {
-        Cell &c = cells[ci];
-        double now = sq.laneQueue(ci).now();
-        c.arrivalEvent = 0;
         ++c.offered;
         double service =
             c.unitExp.next(c.arr) * cfg.meanServiceSeconds;
-        dispatch(ci, now, service, false);
+        dispatch(c, now, service, false, now);
         rescheduleArrival(c, now);
     }
 
     void
-    mmppFlip(std::uint32_t ci)
+    mmppFlip(Cell &c, double now)
     {
-        Cell &c = cells[ci];
-        double now = sq.laneQueue(ci).now();
         c.inBurst = !c.inBurst;
         c.rate = burstRate(c);
         rateChanged(c, now);
         double dwell = c.unitExp.next(c.arr) *
                        (c.inBurst ? cfg.mmpp.burstMeanSeconds
                                   : cfg.mmpp.calmMeanSeconds);
-        EnsembleSim *sim = this;
-        sq.laneQueue(ci).schedule(
-            now + dwell, [sim, ci] { sim->mmppFlip(ci); });
+        sq.schedule(c.idx, now + dwell, detail::lanePayload(kFlip, 0));
+    }
+
+    /** Arrivals and sleep timers are retracted by generation. */
+    bool
+    stale(unsigned lane, std::uint64_t payload) const
+    {
+        const Cell &c = cells[lane];
+        const std::uint32_t arg = detail::payloadArg(payload);
+        switch (detail::payloadKind(payload)) {
+          case kArrival:
+            return arg != c.arrivalGen;
+          case kSleepTimer:
+            return detail::payloadGen(payload) !=
+                   detail::genBits(c.timerGen[arg]);
+          default:
+            return false;
+        }
+    }
+
+    /** The lane handler: one switch per live record. */
+    void
+    fire(unsigned lane, double now, std::uint64_t payload,
+         const sim::Parcel *parcel)
+    {
+        Cell &c = cells[lane];
+        const std::uint32_t arg = detail::payloadArg(payload);
+        switch (detail::payloadKind(payload)) {
+          case kArrival:
+            arrive(c, now);
+            return;
+          case kCompletion:
+            complete(c, arg, now);
+            return;
+          case kTransition:
+            pump(c, arg, now);
+            return;
+          case kSleepTimer:
+            sleepTimer(c, arg, now);
+            return;
+          case kFlip:
+            mmppFlip(c, now);
+            return;
+          case kSpill:
+            dispatch(c, parcel->a, parcel->b, true, now);
+            return;
+        }
+        panic("unknown exact-engine lane record");
     }
 
     void
@@ -412,7 +450,6 @@ struct EnsembleSim : detail::EnsembleCore<EnsembleSim, Cell> {
     void
     startCell(Cell &c, std::uint32_t awakeN)
     {
-        std::uint32_t ci = c.idx;
         c.state.assign(c.n, ServerState::Idle);
         std::fill(c.state.begin() + awakeN, c.state.end(),
                   ServerState::Off);
@@ -420,28 +457,25 @@ struct EnsembleSim : detail::EnsembleCore<EnsembleSim, Cell> {
         c.queued.assign(c.n, 0);
         c.qHead.assign(c.n, 0);
         c.qTail.assign(c.n, 0);
-        c.timer.assign(c.n, 0);
+        c.timerGen.assign(c.n, 0);
         c.lastChange.assign(c.n, 0.0);
-        // Expected arena occupancy: every slot of every server can
-        // hold an in-service job, plus queued headroom.
-        c.arena.reserve(std::size_t(c.n) * cfg.serverSlots + 256);
+        // Expected pool occupancy: every slot of every server can
+        // hold an in-service job, plus queued headroom; slot 0 is
+        // the null sentinel.
+        const std::size_t jobs = std::size_t(c.n) * cfg.serverSlots + 256;
+        c.jobs.reserve(jobs);
+        c.freeJobs.reserve(jobs);
+        c.jobs.emplace_back();
 
         // Idle governors start armed under the sleeping policies.
-        if (cfg.policy != EnsemblePolicy::AlwaysOn) {
-            EnsembleSim *sim = this;
-            for (std::uint32_t s = 0; s < awakeN; ++s) {
-                c.timer[s] = sq.laneQueue(ci).schedule(
-                    cfg.power.idleToSleepSeconds,
-                    [sim, ci, s] { sim->sleepTimer(ci, s); });
-            }
-        }
+        if (cfg.policy != EnsemblePolicy::AlwaysOn)
+            for (std::uint32_t s = 0; s < awakeN; ++s)
+                armTimer(c, s, cfg.power.idleToSleepSeconds);
         rateChanged(c, 0.0);
         if (cfg.mmpp.enabled) {
             double dwell =
                 c.unitExp.next(c.arr) * cfg.mmpp.calmMeanSeconds;
-            EnsembleSim *sim = this;
-            sq.laneQueue(ci).schedule(
-                dwell, [sim, ci] { sim->mmppFlip(ci); });
+            sq.schedule(c.idx, dwell, detail::lanePayload(kFlip, 0));
         }
     }
 };

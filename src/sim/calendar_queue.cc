@@ -17,19 +17,6 @@ constexpr std::size_t kHeadSample = 32;
  * distinct timestamp) at sort time means the width is stale. */
 constexpr std::size_t kBucketOverload = 128;
 
-/** Descending (when, seq): the serving bucket is sorted with this so
- * the global minimum pops from the back. seq is unique, so the order
- * is total and matches the heap's tie-break exactly. */
-struct Greater {
-    bool
-    operator()(const EventEntry &a, const EventEntry &b) const
-    {
-        if (a.when != b.when)
-            return a.when > b.when;
-        return a.seq > b.seq;
-    }
-};
-
 std::size_t
 pow2Ceil(std::size_t n)
 {
@@ -166,7 +153,7 @@ CalendarQueue::locateMin()
                 continue;
             }
         }
-        std::sort(vec.begin(), vec.end(), Greater{});
+        std::sort(vec.begin(), vec.end(), EntryLater{});
         sorted_ = true;
         return;
     }

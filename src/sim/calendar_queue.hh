@@ -60,14 +60,30 @@ using Time = double;
 /**
  * Ordering record of one scheduled event: firing time, global FIFO
  * sequence number (unique; breaks same-time ties), and the slot/gen
- * pair locating the action in EventQueue's slot pool. The total
- * dispatch order is (when, seq) ascending.
+ * pair locating the action in EventQueue's slot pool (a typed lane
+ * of sim::ShardedEventQueue reads the two words as one 64-bit
+ * payload instead). The total dispatch order is (when, seq)
+ * ascending.
  */
 struct EventEntry {
     Time when;
     std::uint64_t seq;
     std::uint32_t slot;
     std::uint32_t gen;
+};
+
+/** Strict "fires later" order on (when, seq): the comparator that
+ * makes a std:: heap of EventEntry a min-heap, and sorts a calendar
+ * bucket descending so its minimum pops from the back. seq is
+ * unique, so the order is total. */
+struct EntryLater {
+    bool
+    operator()(const EventEntry &a, const EventEntry &b) const
+    {
+        if (a.when != b.when)
+            return a.when > b.when;
+        return a.seq > b.seq;
+    }
 };
 
 /**

@@ -5,7 +5,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <exception>
+#include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -258,9 +260,7 @@ ShardedEventQueue::ShardedEventQueue(unsigned lanes, unsigned shards,
 {
     WSC_ASSERT(lanes >= 1, "need at least one lane");
     shards = std::max(1u, std::min(shards, lanes));
-    queues_.reserve(lanes);
-    for (unsigned l = 0; l < lanes; ++l)
-        queues_.push_back(std::make_unique<EventQueue>(kind));
+    lanes_.resize(lanes);
     // Walking down leaves each shard's first lane in shardBegin_.
     laneShard_.resize(lanes);
     shardBegin_.assign(shards + 1, lanes);
@@ -272,32 +272,55 @@ ShardedEventQueue::ShardedEventQueue(unsigned lanes, unsigned shards,
 }
 
 void
+ShardedEventQueue::rejectSchedule(const Lane &ln, Time when,
+                                  std::uint64_t payload)
+{
+    WSC_ASSERT(!(payload & kReservedBit),
+               "payload uses the reserved bit");
+    panic("event scheduled in the past: " + std::to_string(when) +
+          " < " + std::to_string(ln.now));
+}
+
+void
 ShardedEventQueue::post(unsigned srcLane, unsigned dstLane, Time when,
-                        InlineAction &&action)
+                        std::uint64_t payload, const Parcel &parcel)
 {
     WSC_ASSERT(srcLane < lanes() && dstLane < lanes(),
                "lane out of range");
+    WSC_ASSERT(!(payload & kReservedBit),
+               "payload uses the reserved bit");
     // A message landing inside the current window would arrive at a
     // lane that may already have advanced past it: the send delay
     // must cover the lookahead.
     WSC_ASSERT(when >= windowEnd_,
                "cross-lane post inside the lookahead window");
     outbox_[std::size_t(srcLane) * lanes() + dstLane].push_back(
-        {when, std::move(action)});
+        {when, {payload, parcel}});
 }
 
 std::uint64_t
 ShardedEventQueue::drainLane(unsigned dst)
 {
-    // (src asc, send order): the lane's queue assigns the same seq
-    // numbers however many threads the drain fans over.
+    // (src asc, send order): the lane assigns the same seq numbers
+    // however many threads the drain fans over. Each message parks
+    // in a mail slot; its record's payload names the slot.
     const unsigned nLanes = lanes();
-    EventQueue &q = *queues_[dst];
+    Lane &ln = lanes_[dst];
     std::uint64_t moved = 0;
     for (unsigned src = 0; src < nLanes; ++src) {
         auto &box = outbox_[std::size_t(src) * nLanes + dst];
-        for (Msg &m : box)
-            q.schedule(m.when, std::move(m.action));
+        for (const Msg &m : box) {
+            std::uint32_t slot;
+            if (!ln.freeMail.empty()) {
+                slot = ln.freeMail.back();
+                ln.freeMail.pop_back();
+                ln.mail[slot] = m.mail;
+            } else {
+                slot = std::uint32_t(ln.mail.size());
+                ln.mail.push_back(m.mail);
+            }
+            push(ln, m.when, kReservedBit | slot);
+        }
         moved += box.size();
         box.clear();
     }
@@ -305,8 +328,9 @@ ShardedEventQueue::drainLane(unsigned dst)
 }
 
 ShardedEventQueue::RunStats
-ShardedEventQueue::run(Time until, Time lookahead, unsigned workers,
-                       const BarrierFn &onBarrier)
+ShardedEventQueue::runWindows(Time until, Time lookahead, unsigned workers,
+                              const LaneFn &runLane,
+                              const BarrierFn &onBarrier)
 {
     WSC_ASSERT(lookahead > 0.0, "lookahead must be positive");
     using Clock = std::chrono::steady_clock;
@@ -320,7 +344,7 @@ ShardedEventQueue::run(Time until, Time lookahead, unsigned workers,
     std::vector<std::uint64_t> startDispatched(nLanes), mark(nLanes);
     std::vector<std::uint64_t> drained(nLanes, 0);
     for (unsigned l = 0; l < nLanes; ++l)
-        startDispatched[l] = mark[l] = queues_[l]->dispatched();
+        startDispatched[l] = mark[l] = lanes_[l].dispatched;
     std::vector<std::uint64_t> windowShard(nShards);
     double imbalanceSum = 0.0;
     std::uint64_t imbalanceWindows = 0;
@@ -338,11 +362,11 @@ ShardedEventQueue::run(Time until, Time lookahead, unsigned workers,
         windowEnd_ = end;
 
         // Phase 1: advance every lane to the common horizon. Lanes
-        // write only their own queue and their own outbox rows, so
+        // write only their own records and their own outbox rows, so
         // the phase needs no locks.
         auto t0 = Clock::now();
         if (team) {
-            team->fanOut([&](unsigned l) { queues_[l]->run(end); });
+            team->fanOut([&](unsigned l) { runLane(l, end); });
             double busy = team->meanBusySeconds();
             stats.computeSeconds += busy;
             stats.barrierWaitSeconds +=
@@ -350,7 +374,7 @@ ShardedEventQueue::run(Time until, Time lookahead, unsigned workers,
             stats.lanesStolen += team->stolen();
         } else {
             for (unsigned l = 0; l < nLanes; ++l)
-                queues_[l]->run(end);
+                runLane(l, end);
             stats.computeSeconds += secondsSince(t0);
         }
 
@@ -359,7 +383,7 @@ ShardedEventQueue::run(Time until, Time lookahead, unsigned workers,
         std::fill(windowShard.begin(), windowShard.end(), 0);
         std::uint64_t windowTotal = 0, windowMax = 0;
         for (unsigned l = 0; l < nLanes; ++l) {
-            std::uint64_t d = queues_[l]->dispatched() - mark[l];
+            std::uint64_t d = lanes_[l].dispatched - mark[l];
             windowShard[laneShard_[l]] += d;
             windowTotal += d;
         }
@@ -372,9 +396,8 @@ ShardedEventQueue::run(Time until, Time lookahead, unsigned workers,
         }
 
         // Phase 2: deliver cross-lane messages. Each destination
-        // lane is drained by one worker, so its queue's schedule
-        // order (and therefore seq assignment) matches the serial
-        // drain.
+        // lane is drained by one worker, so its schedule order (and
+        // therefore seq assignment) matches the serial drain.
         auto t1 = Clock::now();
         if (team) {
             team->fanOut(
@@ -398,13 +421,13 @@ ShardedEventQueue::run(Time until, Time lookahead, unsigned workers,
         // Re-mark after the barrier so the next window's imbalance
         // counts only window work, not barrier deliveries.
         for (unsigned l = 0; l < nLanes; ++l)
-            mark[l] = queues_[l]->dispatched();
+            mark[l] = lanes_[l].dispatched;
     }
 
     stats.shardDispatched.assign(nShards, 0);
     for (unsigned l = 0; l < nLanes; ++l)
         stats.shardDispatched[laneShard_[l]] +=
-            queues_[l]->dispatched() - startDispatched[l];
+            lanes_[l].dispatched - startDispatched[l];
     for (std::uint64_t d : stats.shardDispatched)
         stats.dispatched += d;
     if (imbalanceWindows > 0)
@@ -416,21 +439,21 @@ ShardedEventQueue::run(Time until, Time lookahead, unsigned workers,
 void
 ShardedEventQueue::reserve(std::size_t eventsPerLane)
 {
-    for (auto &q : queues_)
-        q->reserve(eventsPerLane);
+    for (Lane &ln : lanes_) {
+        if (kind_ == QueueKind::Heap)
+            ln.heap.reserve(eventsPerLane);
+        else
+            ln.cal.reserve(eventsPerLane);
+    }
 }
 
-EventQueue::Counters
+ShardedEventQueue::Counters
 ShardedEventQueue::counters() const
 {
-    EventQueue::Counters sum;
-    for (auto &q : queues_) {
-        const auto &c = q->counters();
-        sum.scheduled += c.scheduled;
-        sum.dispatched += c.dispatched;
-        sum.cancelled += c.cancelled;
-        sum.compactions += c.compactions;
-        sum.peakHeap = std::max(sum.peakHeap, c.peakHeap);
+    Counters sum;
+    for (const Lane &ln : lanes_) {
+        sum.scheduled += ln.scheduled;
+        sum.dispatched += ln.dispatched;
     }
     return sum;
 }

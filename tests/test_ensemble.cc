@@ -10,12 +10,20 @@
  * macro-event engine's own contract:
  * per-seed bit-identity across execution knobs, the report stamp,
  * coarse statistical closeness to the exact engine, and policy-
- * ordering preservation.
+ * ordering preservation; and bench_ensemble's count-option checks,
+ * run on the built bench.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <utility>
 
 #include "core/ensemble.hh"
 #include "obs/run_report.hh"
@@ -474,4 +482,35 @@ TEST(Ensemble, RejectsDegenerateConfigs)
     cfg = baseConfig();
     cfg.cells = 0;
     EXPECT_THROW(runEnsemble(cfg), PanicError);
+}
+
+// bench_ensemble rejects bad counts with a usage error (exit 1)
+// before it simulates anything: an out-of-range one instead of the
+// engine's config assert (an abort), a fraction instead of silently
+// truncating it.
+TEST(BenchEnsembleTool, RejectsBadCounts)
+{
+    const std::pair<const char *, const char *> cases[] = {
+        {"--cells -1", "--cells must be a whole number"},
+        {"--cells 2.5", "--cells must be a whole number"},
+        {"--cells 20 --servers 10", "--cells must be a whole number"},
+        {"--hours 30", "--hours must be a whole number in [1, 24]"},
+        {"--hours 0.5", "--hours must be a whole number in [1, 24]"},
+        {"--reps 1.5", "--reps must be a whole number in [1, 100]"},
+    };
+    std::string out = testing::TempDir() + "bench_ensemble_args.out";
+    for (const auto &[args, message] : cases) {
+        std::string cmd = std::string(WSC_BENCH_ENSEMBLE) + " " + args +
+                          " --out " + testing::TempDir() +
+                          "bench_ensemble_args.json > " + out + " 2>&1";
+        int status = std::system(cmd.c_str());
+        ASSERT_TRUE(WIFEXITED(status)) << args;
+        EXPECT_EQ(WEXITSTATUS(status), 1) << args;
+        std::ifstream in(out);
+        std::stringstream text;
+        text << in.rdbuf();
+        EXPECT_NE(text.str().find(message), std::string::npos)
+            << args << ": " << text.str();
+    }
+    std::remove(out.c_str());
 }

@@ -1,12 +1,14 @@
 /**
  * @file
  * ShardedEventQueue on its own, without an ensemble model on top: a
- * lane's events run in its own (time, seq) order, cross-lane messages
- * land in (dst lane, src lane, send order), every lane's trace is the
- * same at any shard and worker count — also when one hot lane makes
- * the other workers take lanes away from their home worker — the
- * phase seconds fit inside the run, and a post that lands inside the
- * current window panics.
+ * lane's records run in its own (time, seq) order, cross-lane
+ * messages land in (dst lane, src lane, send order) with their
+ * parcels, every lane's trace is the same at any shard and worker
+ * count — also when one hot lane makes the other workers take lanes
+ * away from their home worker — the phase seconds fit inside the
+ * run, a post that lands inside the current window panics, and a
+ * typed lane with generation-retracted records dispatches exactly
+ * what an EventQueue with cancel() does, on both backends.
  */
 
 #include <atomic>
@@ -16,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/event_queue.hh"
 #include "sim/sharded_queue.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
@@ -23,6 +26,8 @@
 namespace {
 
 using wsc::SplitMix64;
+using wsc::sim::EventQueue;
+using wsc::sim::Parcel;
 using wsc::sim::QueueKind;
 using wsc::sim::ShardedEventQueue;
 using wsc::sim::Time;
@@ -42,6 +47,22 @@ struct Rec {
 
 using Trace = std::vector<std::vector<Rec>>; // indexed by lane
 
+/** A run() model that retracts nothing and hands every record to
+ * @p fire. */
+template <typename Fire>
+struct FireAll {
+    Fire fire;
+
+    bool stale(unsigned, std::uint64_t) const { return false; }
+};
+
+template <typename Fire>
+FireAll<Fire>
+fireAll(Fire fire)
+{
+    return {std::move(fire)};
+}
+
 TEST(ShardedQueue, LaneRunsInOwnTimeSeqOrder)
 {
     const unsigned lanes = 8;
@@ -50,13 +71,11 @@ TEST(ShardedQueue, LaneRunsInOwnTimeSeqOrder)
     // Each lane gets ties at every time, scheduled out of time order;
     // the lane must see them sorted by time, ties in schedule order.
     for (unsigned l = 0; l < lanes; ++l)
-        for (unsigned k = 0; k < 12; ++k) {
-            Time when = 0.25 * double((k * 7 + l) % 4);
-            sq.laneQueue(l).schedule(when, [&trace, &sq, l, k] {
-                trace[l].push_back({sq.laneQueue(l).now(), k});
-            });
-        }
-    sq.run(2.0, 0.5, 2);
+        for (unsigned k = 0; k < 12; ++k)
+            sq.schedule(l, 0.25 * double((k * 7 + l) % 4), k);
+    sq.run(2.0, 0.5, 2,
+           fireAll([&](unsigned l, Time when, std::uint64_t k,
+                       const Parcel *) { trace[l].push_back({when, k}); }));
     for (unsigned l = 0; l < lanes; ++l) {
         ASSERT_EQ(trace[l].size(), 12u) << "lane " << l;
         for (std::size_t i = 1; i < trace[l].size(); ++i) {
@@ -78,20 +97,23 @@ TEST(ShardedQueue, MessagesArriveInDstSrcSendOrder)
         // included), all due at the same instant, from an event at a
         // lane-specific time inside the first window — so send
         // times never order the arrivals, only the barrier does.
+        // Each message's parcel repeats its tag.
         for (unsigned src = 0; src < lanes; ++src)
-            sq.laneQueue(src).schedule(
-                0.1 * double(lanes - src) / lanes,
-                [&sq, &got, src] {
+            sq.schedule(src, 0.1 * double(lanes - src) / lanes, 0);
+        auto stats = sq.run(
+            2.0, 1.0, workers,
+            fireAll([&](unsigned l, Time when, std::uint64_t tag,
+                        const Parcel *parcel) {
+                if (!parcel) {
                     for (unsigned k = 0; k < 3; ++k)
                         for (unsigned dst = 0; dst < lanes; ++dst)
-                            sq.post(src, dst, 1.5,
-                                    [&sq, &got, src, dst, k] {
-                                        got[dst].push_back(
-                                            {sq.laneQueue(dst).now(),
-                                             src * 10 + k});
-                                    });
-                });
-        auto stats = sq.run(2.0, 1.0, workers);
+                            sq.post(l, dst, 1.5, l * 10 + k,
+                                    {double(l), double(k)});
+                    return;
+                }
+                EXPECT_EQ(parcel->a * 10 + parcel->b, double(tag));
+                got[l].push_back({when, tag});
+            }));
         EXPECT_EQ(stats.messages, 3u * lanes * lanes);
         for (unsigned dst = 0; dst < lanes; ++dst) {
             std::vector<Rec> want;
@@ -154,14 +176,19 @@ struct LaneModel {
     schedule(unsigned l, Time when)
     {
         std::uint64_t id = (std::uint64_t(l) << 32) | nextId[l]++;
-        sq.laneQueue(l).schedule(when, [this, l, id] { fire(l, id); });
+        sq.schedule(l, when, id);
     }
 
+    bool stale(unsigned, std::uint64_t) const { return false; }
+
+    /** A message is traced under its sender's tag; a local record
+     * also spawns follow-ups and posts. */
     void
-    fire(unsigned l, std::uint64_t id)
+    fire(unsigned l, Time now, std::uint64_t id, const Parcel *parcel)
     {
-        Time now = sq.laneQueue(l).now();
         trace[l].push_back({now, id});
+        if (parcel)
+            return;
         if (gate && now < kLookahead) {
             if (l == 1)
                 gate->store(true, std::memory_order_release);
@@ -174,11 +201,7 @@ struct LaneModel {
         if (r.uniform() < 0.3) {
             auto dst = unsigned(r.pick(kLanes));
             std::uint64_t tag = (std::uint64_t(l) << 48) | id;
-            sq.post(l, dst, now + kLookahead + grid(r.uniform()),
-                    [this, dst, tag] {
-                        trace[dst].push_back(
-                            {sq.laneQueue(dst).now(), tag});
-                    });
+            sq.post(l, dst, now + kLookahead + grid(r.uniform()), tag);
         }
     }
 
@@ -186,11 +209,13 @@ struct LaneModel {
     run(unsigned workers)
     {
         unsigned windows = 0;
-        return sq.run(kHorizon, kLookahead, workers, [&](Time now) {
-            if (++windows % 3 == 0)
-                for (unsigned l = 0; l < kLanes; ++l)
-                    schedule(l, now);
-        });
+        return sq.run(
+            kHorizon, kLookahead, workers, *this,
+            [&](Time now) {
+                if (++windows % 3 == 0)
+                    for (unsigned l = 0; l < kLanes; ++l)
+                        schedule(l, now);
+            });
     }
 };
 
@@ -258,13 +283,171 @@ TEST(ShardedQueue, PostInsideWindowPanics)
     for (unsigned workers : {1u, 2u}) {
         ShardedEventQueue sq(4, 2);
         for (unsigned l = 0; l < 4; ++l)
-            sq.laneQueue(l).schedule(0.2, [&sq, l] {
-                // The window is [0, 1): a message due at 0.7 would
-                // reach a lane that may already be past it.
-                sq.post(l, (l + 1) % 4, 0.7, [] {});
-            });
-        EXPECT_THROW(sq.run(2.0, 1.0, workers), wsc::PanicError)
+            sq.schedule(l, 0.2, 0);
+        EXPECT_THROW(
+            sq.run(2.0, 1.0, workers,
+                   fireAll([&sq](unsigned l, Time, std::uint64_t,
+                                 const Parcel *) {
+                       // The window is [0, 1): a message due at 0.7
+                       // would reach a lane that may already be past
+                       // it.
+                       sq.post(l, (l + 1) % 4, 0.7, 0);
+                   })),
+            wsc::PanicError)
             << "workers " << workers;
+    }
+}
+
+/**
+ * One lane of random churn, written once over two kernels: plain
+ * records spawn follow-ups on a 1/16 s grid (so same-time ties are
+ * common), and kTimers retractable timers are armed, re-armed and
+ * cancelled at random. The typed lane retracts a timer by bumping
+ * its generation (stale() reports the superseded record, which is
+ * skipped or swept); the EventQueue side cancels the closure for
+ * real. Both log every dispatch as (time, payload). The population
+ * is large enough that the lane sweeps stale records many times.
+ */
+template <typename Kernel>
+struct ChurnModel {
+    static constexpr unsigned kTimers = 64;
+    static constexpr std::uint64_t kTimerBit = std::uint64_t(1) << 62;
+
+    Kernel &kernel;
+    SplitMix64 rng{0xc0ffee};
+    std::vector<std::uint32_t> gen = std::vector<std::uint32_t>(kTimers);
+    std::vector<Rec> log;
+    std::uint64_t nextId = 0;
+
+    explicit ChurnModel(Kernel &k) : kernel(k)
+    {
+        for (unsigned i = 0; i < 256; ++i)
+            kernel.add(grid(rng.uniform()), nextId++);
+    }
+
+    static Time
+    grid(double x)
+    {
+        return double(unsigned(x * 16.0)) / 16.0;
+    }
+
+    static std::uint64_t
+    timerPayload(unsigned k, std::uint32_t g)
+    {
+        return kTimerBit | (std::uint64_t(g) << 8) | k;
+    }
+
+    /** A live record fired. */
+    void
+    fire(Time now, std::uint64_t payload)
+    {
+        log.push_back({now, payload});
+        if (rng.uniform() < 0.95)
+            kernel.add(now + grid(rng.uniform()), nextId++);
+        if (rng.uniform() < 0.3) {
+            auto k = unsigned(rng.pick(kTimers));
+            kernel.retract(k, gen[k]);
+            ++gen[k];
+            kernel.arm(k, now + 2.0 * grid(rng.uniform()),
+                       timerPayload(k, gen[k]));
+        }
+        if (rng.uniform() < 0.2) {
+            auto k = unsigned(rng.pick(kTimers));
+            kernel.retract(k, gen[k]);
+            ++gen[k];
+        }
+    }
+};
+
+/** The typed lane: timers carry their generation. */
+struct TypedKernel {
+    ShardedEventQueue sq;
+    ChurnModel<TypedKernel> *model = nullptr;
+
+    explicit TypedKernel(QueueKind kind) : sq(1, 1, kind) {}
+
+    void add(Time when, std::uint64_t id) { sq.schedule(0, when, id); }
+    void retract(unsigned, std::uint32_t) {}
+    void
+    arm(unsigned, Time when, std::uint64_t payload)
+    {
+        sq.schedule(0, when, payload);
+    }
+
+    bool
+    stale(unsigned, std::uint64_t payload) const
+    {
+        using M = ChurnModel<TypedKernel>;
+        auto k = unsigned(payload & 0xff);
+        return (payload & M::kTimerBit) &&
+               payload != M::timerPayload(k, model->gen[k]);
+    }
+
+    void
+    fire(unsigned, Time now, std::uint64_t payload, const Parcel *)
+    {
+        model->fire(now, payload);
+    }
+};
+
+/** The closure queue: timers are cancelled by id. */
+struct ClosureKernel {
+    EventQueue eq;
+    ChurnModel<ClosureKernel> *model = nullptr;
+    std::vector<wsc::sim::EventId> timer =
+        std::vector<wsc::sim::EventId>(ChurnModel<ClosureKernel>::kTimers);
+
+    explicit ClosureKernel(QueueKind kind) : eq(kind) {}
+
+    void
+    add(Time when, std::uint64_t id)
+    {
+        eq.schedule(when, [this, when, id] { model->fire(when, id); });
+    }
+
+    void
+    retract(unsigned k, std::uint32_t)
+    {
+        if (timer[k])
+            eq.cancel(timer[k]);
+        timer[k] = 0;
+    }
+
+    void
+    arm(unsigned k, Time when, std::uint64_t payload)
+    {
+        timer[k] = eq.schedule(when, [this, k, when, payload] {
+            timer[k] = 0;
+            model->fire(when, payload);
+        });
+    }
+};
+
+TEST(ShardedQueue, TypedLaneMatchesEventQueueWithCancels)
+{
+    for (QueueKind kind : {QueueKind::Heap, QueueKind::Calendar}) {
+        const char *name = wsc::sim::queueKindName(kind);
+        TypedKernel typed(kind);
+        // The model's constructor schedules, so the kernel points at
+        // it only once it exists; nothing fires before run().
+        ChurnModel<TypedKernel> tm(typed);
+        typed.model = &tm;
+        typed.sq.run(20.0, 0.25, 1, typed);
+
+        ClosureKernel closures(kind);
+        ChurnModel<ClosureKernel> cm(closures);
+        closures.model = &cm;
+        closures.eq.run(20.0);
+
+        EXPECT_GT(closures.eq.counters().cancelled, 2000u) << name;
+        EXPECT_GT(cm.log.size(), 8000u) << name;
+        EXPECT_EQ(tm.log, cm.log) << name;
+        EXPECT_EQ(typed.sq.counters().scheduled,
+                  closures.eq.counters().scheduled)
+            << name;
+        EXPECT_EQ(typed.sq.counters().dispatched,
+                  closures.eq.counters().dispatched)
+            << name;
     }
 }
 
@@ -278,7 +461,9 @@ TEST(ShardedQueue, ShardsBlockLanesAndCapWorkers)
         EXPECT_EQ(sq.shardOf(l), want[l]) << l;
     EXPECT_EQ(ShardedEventQueue(3, 8).shards(), 3u);
     // Workers past the shard count are clamped, not spawned.
-    auto stats = sq.run(1.0, 0.5, 64);
+    auto stats = sq.run(
+        1.0, 0.5, 64,
+        fireAll([](unsigned, Time, std::uint64_t, const Parcel *) {}));
     EXPECT_EQ(stats.windows, 2u);
 }
 

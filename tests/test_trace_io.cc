@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for trace persistence (text and streaming round trips)
- * and for wsc_memblade's option checks, run on the built tool.
+ * and for wsc_memblade's and wsc_trace's option checks, run on the
+ * built tools.
  */
 
 #include <gtest/gtest.h>
@@ -145,18 +146,19 @@ TEST(TraceIo, ReplayMatchesGeneratorPath)
     EXPECT_EQ(from_file.coldMisses, direct.stats().coldMisses);
 }
 
-/** Run wsc_memblade with @p args; returns its exit code and output. */
+/** Run the built @p tool with @p args; returns its exit code and
+ * output. */
 int
-runMemblade(const std::string &args, std::string &output)
+runTool(const std::string &tool, const std::string &args,
+        std::string &output)
 {
     // ctest runs each test in its own process, in parallel: name the
     // capture after the test.
     std::string out =
-        testing::TempDir() + "wsc_memblade_" +
+        testing::TempDir() + "wsc_tool_" +
         testing::UnitTest::GetInstance()->current_test_info()->name() +
         ".out";
-    std::string cmd =
-        std::string(WSC_MEMBLADE) + " " + args + " > " + out + " 2>&1";
+    std::string cmd = tool + " " + args + " > " + out + " 2>&1";
     int status = std::system(cmd.c_str());
     std::ifstream in(out);
     std::stringstream text;
@@ -164,6 +166,12 @@ runMemblade(const std::string &args, std::string &output)
     output = text.str();
     std::remove(out.c_str());
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+int
+runMemblade(const std::string &args, std::string &output)
+{
+    return runTool(WSC_MEMBLADE, args, output);
 }
 
 TEST(MembladeTool, CurveOnStreamIsLruWhateverThePolicy)
@@ -242,6 +250,32 @@ TEST(MembladeTool, FramesRejectedInSyntheticMode)
     EXPECT_NE(out.find("--frames sizes --trace replays"),
               std::string::npos)
         << out;
+}
+
+// wsc_trace checks the --out format before it reads --in (or runs
+// the generator): the input here does not even exist, so any attempt
+// to read it would fail with a different error.
+TEST(TraceTool, OutFormatCheckedBeforeInputIsRead)
+{
+    std::string dir = testing::TempDir();
+    const std::string sources[] = {
+        "--in " + dir + "wsc_no_such_input.trace",
+        "--in " + dir + "wsc_no_such_input.strace",
+        "--accesses 1000",
+    };
+    for (const std::string &source : sources) {
+        std::string out;
+        EXPECT_EQ(runTool(WSC_TRACE,
+                          source + " --out " + dir + "x.btrace", out),
+                  1)
+            << source;
+        EXPECT_NE(out.find("unknown trace extension on '" + dir +
+                           "x.btrace'"),
+                  std::string::npos)
+            << source << ": " << out;
+        EXPECT_EQ(out.find("cannot open"), std::string::npos)
+            << source << ": " << out;
+    }
 }
 
 } // namespace

@@ -98,6 +98,10 @@ main(int argc, char **argv)
         const std::string in = args.get("in");
         const std::string out = args.get("out");
         bool wantStats = args.flag("stats") || out.empty();
+        // Reject an unwritable format before generating or reading
+        // a possibly large input.
+        if (!out.empty())
+            checkTraceExtension(out);
 
         if (in.empty()) {
             // Generator source.
