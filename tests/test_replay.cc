@@ -8,15 +8,21 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <limits>
 #include <unordered_map>
 
 #include "flashcache/io_trace.hh"
+#include "memblade/hybrid.hh"
 #include "memblade/replay.hh"
 #include "memblade/stack_distance.hh"
 #include "memblade/trace_io.hh"
+#include "memblade/trace_stream.hh"
 #include "oracles/two_level.hh"
+#include "util/hash.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
 
@@ -368,6 +374,156 @@ TEST(ColdTracker, BitsetAndSparseAgree)
         PageId page = rng.uniformInt(0, 4095);
         ASSERT_EQ(dense.firstTouch(page), sparse.firstTouch(page));
     }
+}
+
+std::uint64_t
+mix(std::uint64_t h, const ReplayStats &s)
+{
+    for (std::uint64_t v : {s.accesses, s.hits, s.misses, s.coldMisses})
+        h = hashCombine(h, v);
+    return h;
+}
+
+std::uint64_t
+mix(std::uint64_t h, double v)
+{
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    return hashCombine(h, bits);
+}
+
+std::uint64_t
+mix(std::uint64_t h, const std::vector<std::uint64_t> &v)
+{
+    h = hashCombine(h, std::uint64_t(v.size()));
+    for (std::uint64_t x : v)
+        h = hashCombine(h, x);
+    return h;
+}
+
+// The ResultBytesPinned tests hold every replay entry point's counts
+// as recorded before the replays read their pages through one page
+// source: a change to batching, warmup accounting or Rng derivation
+// that moves any count fails here. The hierarchy replays are pinned
+// through wsc_memblade in test_trace_io.
+
+TEST(ReplayProfile, ResultBytesPinned)
+{
+    const std::array<std::uint64_t, 7> want = {
+        0x2f1056c3071ff95dULL, 0x544e3f57c36956d7ULL,
+        0x4fa95937563c0b55ULL, 0x3490560e3745f2c1ULL,
+        0xc7ac93d8264f90eeULL, 0xc66ea997c92f631eULL,
+        0xb3cb98c3f92f7620ULL};
+    auto profile = profileFor(workloads::Benchmark::Websearch);
+    for (std::size_t i = 0; i < std::size(allPolicyKinds); ++i) {
+        PolicyKind kind = allPolicyKinds[i];
+        std::uint64_t d =
+            mix(0, replayProfile(profile, 0.02, kind, 50000, 7));
+        EXPECT_EQ(d, want[i]) << to_string(kind) << ": 0x" << std::hex
+                              << d;
+    }
+}
+
+TEST(ReplayWindowed, ResultBytesPinned)
+{
+    // The warmup ends inside the third 4096-page batch, and exactly
+    // at the end of the second.
+    const std::uint64_t warmups[] = {10000, 8192};
+    const std::array<std::uint64_t, 2> want = {0x69aafd700049e502ULL,
+                                               0xe9596bfba75dfe9fULL};
+    auto profile = profileFor(workloads::Benchmark::Ytube);
+    for (std::size_t i = 0; i < std::size(warmups); ++i) {
+        std::uint64_t d = 0;
+        for (PolicyKind kind : allPolicyKinds) {
+            TraceGenerator gen(profile, Rng(23));
+            auto w = replayWindowed(gen, kind, 3000,
+                                    profile.footprintPages, 30000,
+                                    warmups[i], Rng(5));
+            d = mix(mix(d, w.total), w.measured);
+        }
+        EXPECT_EQ(d, want[i]) << "warmup " << warmups[i] << ": 0x"
+                              << std::hex << d;
+    }
+}
+
+TEST(LruCurve, ResultBytesPinned)
+{
+    const std::uint64_t warmups[] = {30001, 12288};
+    const std::array<std::uint64_t, 2> want = {0x62a21ca8af4388e4ULL,
+                                               0xf2b795cce0107140ULL};
+    auto profile = profileFor(workloads::Benchmark::Websearch);
+    for (std::size_t i = 0; i < std::size(warmups); ++i) {
+        TraceGenerator gen(profile, Rng(31));
+        auto c = lruCurve(gen, profile.footprintPages, 60000,
+                          warmups[i]);
+        std::uint64_t d = 0;
+        for (std::uint64_t v : {c.accesses, c.coldMisses,
+                                c.measuredAccesses,
+                                c.measuredColdMisses})
+            d = hashCombine(d, v);
+        d = mix(mix(d, c.cumHits), c.measuredCumHits);
+        EXPECT_EQ(d, want[i]) << "warmup " << warmups[i] << ": 0x"
+                              << std::hex << d;
+    }
+}
+
+TEST(FlashCacheSweep, ResultBytesPinned)
+{
+    const std::array<std::uint64_t, 2> want = {0x8f8dbb2e0d06e81dULL,
+                                               0x8724cef841018923ULL};
+    std::vector<flashcache::FlashSpec> specs(3);
+    specs[0].capacityGB = 0.25;
+    specs[2].capacityGB = 4.0;
+    std::size_t i = 0;
+    for (auto b : {workloads::Benchmark::Websearch,
+                   workloads::Benchmark::Ytube}) {
+        std::uint64_t d = 0;
+        for (const auto &o : flashcache::evaluateFlashCacheSweep(
+                 b, specs, 100000, 5.0e6, 3))
+            d = mix(mix(mix(d, o.hitRate), o.wearCyclesPerBlock),
+                    o.lifetimeYears);
+        EXPECT_EQ(d, want[i]) << workloads::to_string(b) << ": 0x"
+                              << std::hex << d;
+        ++i;
+    }
+}
+
+TEST(ReplayHybrid, ResultBytesPinned)
+{
+    const std::array<std::uint64_t, 4> want = {
+        0x56a2a825df2ed59dULL, 0x39bb437a5f6383f8ULL,
+        0x1429848326203c4aULL, 0xec4aeadd1fba691dULL};
+    auto profile = profileFor(workloads::Benchmark::Webmail);
+    std::size_t i = 0;
+    for (PolicyKind kind : {PolicyKind::Lru, PolicyKind::Random,
+                            PolicyKind::Clock, PolicyKind::Arc}) {
+        auto s = replayHybrid(profile, 0.02, HybridParams{}, kind,
+                              60000, 9);
+        std::uint64_t d = hashCombine(
+            hashCombine(mix(0, s.local), s.dramHits), s.flashHits);
+        EXPECT_EQ(d, want[i]) << to_string(kind) << ": 0x" << std::hex
+                              << d;
+        ++i;
+    }
+}
+
+TEST(ReplayStream, ResultBytesPinned)
+{
+    const std::uint64_t want = 0xeac0a799c3ad0379ULL;
+    const std::string path =
+        testing::TempDir() + "wsc_replay_pinned.strace";
+    auto profile = profileFor(workloads::Benchmark::MapredWc);
+    writeTraceStream(path, generateTrace(profile, 40000, Rng(17)));
+    for (bool forceBuffered : {false, true}) {
+        std::uint64_t d = 0;
+        for (PolicyKind kind : allPolicyKinds) {
+            TraceStream ts(path, forceBuffered);
+            d = mix(d, replayStream(ts, kind, 3000, Rng(4)));
+        }
+        EXPECT_EQ(d, want) << "forceBuffered " << forceBuffered
+                           << ": 0x" << std::hex << d;
+    }
+    std::remove(path.c_str());
 }
 
 TEST(ReplayWindowed, ZeroWarmupMeasuresEverything)

@@ -9,6 +9,7 @@
 
 #include <sys/wait.h>
 
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -18,6 +19,7 @@
 #include "memblade/trace_io.hh"
 #include "memblade/trace_stream.hh"
 #include "oracles/two_level.hh"
+#include "util/hash.hh"
 #include "util/logging.hh"
 
 namespace {
@@ -250,6 +252,46 @@ TEST(MembladeTool, FramesRejectedInSyntheticMode)
     EXPECT_NE(out.find("--frames sizes --trace replays"),
               std::string::npos)
         << out;
+}
+
+// The hierarchy replays of a synthetic profile, a text trace and a
+// streaming trace, inclusive and exclusive with prefetching, as
+// recorded before they read their pages through one page source.
+TEST(MembladeTool, HierarchyResultBytesPinned)
+{
+    const std::array<std::uint64_t, 6> want = {
+        0x9d9af437698b2970ULL, 0x194da685c1ae0ae5ULL,
+        0x194da685c1ae0ae5ULL, 0x160fae7ae49aa095ULL,
+        0x0cca324bd7200139ULL, 0x0cca324bd7200139ULL};
+    std::string dir = testing::TempDir();
+    auto trace = generateTrace(profileFor(workloads::Benchmark::MapredWc),
+                               40000, Rng(8));
+    saveTrace(dir + "wsc_hier_pin.trace", trace);
+    saveTrace(dir + "wsc_hier_pin.strace", trace);
+    const std::string sources[] = {
+        "--benchmark mapred-wc --accesses 60000 --local 0.005 "
+        "--l2-frames 6000",
+        "--trace " + dir + "wsc_hier_pin.trace --frames 300 "
+        "--l2-frames 1500",
+        "--trace " + dir + "wsc_hier_pin.strace --frames 300 "
+        "--l2-frames 1500",
+    };
+    std::size_t i = 0;
+    for (const char *mode : {"inclusive", "exclusive"})
+        for (const std::string &source : sources) {
+            std::string out;
+            EXPECT_EQ(runMemblade(source + " --hierarchy " + mode +
+                                      " --prefetch-depth 4",
+                                  out),
+                      0)
+                << out;
+            std::uint64_t d = hashCombine(0, out);
+            EXPECT_EQ(d, want[i]) << mode << " " << source << ": 0x"
+                                  << std::hex << d << "\n" << out;
+            ++i;
+        }
+    std::remove((dir + "wsc_hier_pin.trace").c_str());
+    std::remove((dir + "wsc_hier_pin.strace").c_str());
 }
 
 // wsc_trace checks the --out format before it reads --in (or runs
