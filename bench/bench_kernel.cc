@@ -369,16 +369,17 @@ traceProfileArg(std::int64_t arg)
 void
 BM_TraceGenerationBatch(benchmark::State &state)
 {
-    // Pulled 4096 ids at a time, the chunk the replay loops use.
+    // Pulled a replay batch at a time.
     auto profile = traceProfileArg(state.range(0));
     memblade::TraceGenerator gen(profile, Rng(5));
-    std::vector<memblade::PageId> buf(4096);
+    std::vector<memblade::PageId> buf(memblade::PageSource::kChunk);
     for (auto _ : state) {
         gen.nextBatch(buf.data(), buf.size());
         benchmark::DoNotOptimize(buf.data());
         benchmark::ClobberMemory();
     }
-    state.SetItemsProcessed(state.iterations() * 4096);
+    state.SetItemsProcessed(state.iterations() *
+                            std::int64_t(buf.size()));
     state.SetLabel(profile.name);
 }
 BENCHMARK(BM_TraceGenerationBatch)->DenseRange(0, 5);

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "harness.hh"
+#include "memblade/page_source.hh"
 #include "memblade/replacement.hh"
 #include "memblade/replay.hh"
 #include "memblade/trace_stream.hh"
@@ -126,18 +127,8 @@ run(int argc, char **argv)
     {
         // Constant-memory generation straight into the stream writer.
         TraceGenerator gen(profile, Rng(3));
-        TraceStreamWriter w(tracePath);
-        std::vector<PageId> buf(4096);
-        std::uint64_t done = 0;
-        while (done < accesses) {
-            auto n = std::size_t(
-                std::min<std::uint64_t>(buf.size(), accesses - done));
-            gen.nextBatch(buf.data(), n);
-            for (std::size_t i = 0; i < n; ++i)
-                w.append(buf[i]);
-            done += n;
-        }
-        w.close();
+        PageSource src(gen, accesses, profile.footprintPages);
+        writeTraceStream(tracePath, src);
     }
 
     ReplayStats streamStats;

@@ -906,16 +906,18 @@ runLocalmem()
         std::vector<TraceProfile> profs;
         for (auto b : workloads::allBenchmarks) {
             profs.push_back(profileFor(b));
+            std::vector<ReplayStats> col;
             if (kind == PolicyKind::Lru) {
-                cols.push_back(
-                    replayProfileSweep(profs.back(), fractions, n, 42));
+                auto curve = lruCurveForProfile(profs.back(), n, 42);
+                for (double f : fractions)
+                    col.push_back(curve.statsAt(std::size_t(std::ceil(
+                        double(profs.back().footprintPages) * f))));
             } else {
-                std::vector<ReplayStats> col;
                 for (double f : fractions)
                     col.push_back(
                         replayProfile(profs.back(), f, kind, n, 42));
-                cols.push_back(std::move(col));
             }
+            cols.push_back(std::move(col));
         }
         for (std::size_t fi = 0; fi < fractions.size(); ++fi) {
             std::vector<std::string> row{fmtPct(fractions[fi], 2)};

@@ -1,10 +1,7 @@
 #include "memblade/hierarchy.hh"
 
-#include <vector>
-
-#include "memblade/trace_stream.hh"
+#include "memblade/page_source.hh"
 #include "util/logging.hh"
-#include "util/random.hh"
 
 namespace wsc {
 namespace memblade {
@@ -162,52 +159,12 @@ TwoLevelHierarchy::checkInvariants() const
 }
 
 HierarchyStats
-replayHierarchyPages(const PageId *pages, std::size_t n,
-                     const HierarchyParams &params)
+replayHierarchy(PageSource &src, const HierarchyParams &params)
 {
     TwoLevelHierarchy h(params);
-    for (std::size_t i = 0; i < n; ++i)
-        h.access(pages[i]);
-    return h.stats();
-}
-
-HierarchyStats
-replayHierarchyStream(TraceStream &ts, const HierarchyParams &params)
-{
-    TwoLevelHierarchy h(params);
-    std::vector<PageId> buf(4096);
-    for (;;) {
-        std::size_t n = ts.fillPages(buf.data(), buf.size());
-        if (n == 0)
-            break;
-        for (std::size_t i = 0; i < n; ++i)
-            h.access(buf[i]);
-    }
-    return h.stats();
-}
-
-HierarchyStats
-replayHierarchyProfile(const TraceProfile &profile,
-                       const HierarchyParams &params,
-                       std::uint64_t accesses, std::uint64_t seed)
-{
-    // Mirror replayProfile's Rng derivation (kernel split drawn and
-    // discarded) so hierarchy results line up with flat replays of
-    // the same (profile, seed).
-    Rng rng(seed);
-    (void)rng.split();
-    TraceGenerator gen(profile, rng.split());
-    TwoLevelHierarchy h(params);
-    std::vector<PageId> buf(4096);
-    std::uint64_t done = 0;
-    while (done < accesses) {
-        auto n = std::size_t(
-            std::min<std::uint64_t>(buf.size(), accesses - done));
-        gen.nextBatch(buf.data(), n);
-        for (std::size_t i = 0; i < n; ++i)
-            h.access(buf[i]);
-        done += n;
-    }
+    for (auto b = src.next(); !b.empty(); b = src.next())
+        for (PageId page : b)
+            h.access(page);
     return h.stats();
 }
 

@@ -43,7 +43,7 @@
 namespace wsc {
 namespace memblade {
 
-class TraceStream;
+class PageSource;
 
 /** Containment policy between the two levels. */
 enum class HierarchyMode { Inclusive, Exclusive };
@@ -164,23 +164,9 @@ class TwoLevelHierarchy
     Level buf; //!< prefetch FIFO (insertMru + popLru = FIFO; no touch)
 };
 
-/** Replay an explicit page sequence through a fresh hierarchy. */
-HierarchyStats replayHierarchyPages(const PageId *pages, std::size_t n,
-                                    const HierarchyParams &params);
-
-/** Replay a whole streaming trace through a fresh hierarchy. */
-HierarchyStats replayHierarchyStream(TraceStream &ts,
-                                     const HierarchyParams &params);
-
-/**
- * Replay @p accesses synthetic accesses of @p profile through a fresh
- * hierarchy (same Rng derivation as replayProfile: kernel split drawn
- * and discarded, generator split consumed).
- */
-HierarchyStats replayHierarchyProfile(const TraceProfile &profile,
-                                      const HierarchyParams &params,
-                                      std::uint64_t accesses,
-                                      std::uint64_t seed);
+/** Replay every page of @p src through a fresh hierarchy. */
+HierarchyStats replayHierarchy(PageSource &src,
+                               const HierarchyParams &params);
 
 } // namespace memblade
 } // namespace wsc

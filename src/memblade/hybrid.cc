@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "memblade/page_source.hh"
 #include "memblade/policy_zoo.hh"
 #include "memblade/replay.hh"
 #include "util/logging.hh"
@@ -11,24 +12,14 @@ namespace memblade {
 
 namespace {
 
-constexpr std::size_t kChunk = 4096;
-
 template <typename LocalKernel, typename DramKernel>
 HybridStats
-hybridLoop(LocalKernel &local, DramKernel &dram_tier,
-           TraceGenerator &gen, std::uint64_t accesses,
-           std::uint64_t pageBound)
+hybridLoop(LocalKernel &local, DramKernel &dram_tier, PageSource &src)
 {
     HybridStats out;
-    ColdTracker seen(pageBound);
-    std::vector<PageId> buf(kChunk);
-    std::uint64_t done = 0;
-    while (done < accesses) {
-        auto n = std::size_t(
-            std::min<std::uint64_t>(kChunk, accesses - done));
-        gen.nextBatch(buf.data(), n);
-        for (std::size_t i = 0; i < n; ++i) {
-            PageId page = buf[i];
+    ColdTracker seen(src.pageBound());
+    for (auto b = src.next(); !b.empty(); b = src.next()) {
+        for (PageId page : b) {
             ++out.local.accesses;
             if (local.access(page)) {
                 ++out.local.hits;
@@ -50,7 +41,6 @@ hybridLoop(LocalKernel &local, DramKernel &dram_tier,
             else
                 ++out.flashHits;
         }
-        done += n;
     }
     return out;
 }
@@ -83,6 +73,7 @@ replayHybrid(const TraceProfile &profile, double localFraction,
     TraceGenerator gen(profile, rng.split());
 
     std::uint64_t bound = profile.footprintPages;
+    PageSource src(gen, accesses, bound);
     // Both tiers run the same policy kind; the nested dispatch keeps
     // the kernel construction order (local, then DRAM tier) identical
     // to the original switch so Random stays bit-identical.
@@ -91,8 +82,7 @@ replayHybrid(const TraceProfile &profile, double localFraction,
             return withPolicyKernel(
                 kind, dram_frames, bound, dram_rng,
                 [&](auto &dram_tier) {
-                    return hybridLoop(local, dram_tier, gen, accesses,
-                                      bound);
+                    return hybridLoop(local, dram_tier, src);
                 });
         });
 }

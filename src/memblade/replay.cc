@@ -4,7 +4,6 @@
 
 #include "memblade/policy_zoo.hh"
 #include "util/logging.hh"
-#include "util/thread_pool.hh"
 
 namespace wsc {
 namespace memblade {
@@ -111,102 +110,87 @@ ColdTracker::ColdTracker(std::uint64_t pageBound)
 
 namespace {
 
-/** Replay chunk size: big enough to amortize the batch-fill call,
- * small enough to stay L1/L2 resident (32 KB of page ids). */
-constexpr std::size_t kChunk = 4096;
-
-/** Prefetch distance: the batch buffer shows us future page ids, so
- * their hash-probe lines can be in flight while earlier accesses
- * retire — far enough to cover a memory round trip, near enough that
- * the line is still resident when its access arrives. */
+/** Prefetch distance: the batch shows us future page ids, so their
+ * hash-probe lines can be in flight while earlier accesses retire —
+ * far enough to cover a memory round trip, near enough that the line
+ * is still resident when its access arrives. */
 constexpr std::size_t kPrefetch = 16;
 
+/** The per-access policy loop of every replay. The warmup window is a
+ * snapshot of the running counts at page index @p warmup, so
+ * measured = total - snapshot. */
 template <typename Kernel>
 WindowedReplay
-replayLoop(Kernel &kernel, TraceGenerator &gen, std::uint64_t accesses,
-           std::uint64_t warmup, ColdTracker &cold)
+replayLoop(Kernel &kernel, PageSource &src, std::uint64_t warmup,
+           ColdTracker &cold)
 {
-    WSC_ASSERT(warmup <= accesses, "warmup longer than the replay");
-    WindowedReplay w;
-    std::vector<PageId> buf(kChunk);
-    std::uint64_t done = 0;
-    while (done < accesses) {
-        auto n = std::size_t(
-            std::min<std::uint64_t>(kChunk, accesses - done));
-        gen.nextBatch(buf.data(), n);
-        for (std::size_t i = 0; i < n; ++i) {
-            if (i + kPrefetch < n)
-                kernel.prefetch(buf[i + kPrefetch]);
-            PageId page = buf[i];
-            bool measured = done + i >= warmup;
-            ++w.total.accesses;
-            w.measured.accesses += measured;
-            if (kernel.access(page)) {
-                ++w.total.hits;
-                w.measured.hits += measured;
-                continue;
-            }
-            ++w.total.misses;
-            w.measured.misses += measured;
-            if (cold.firstTouch(page)) {
-                ++w.total.coldMisses;
-                w.measured.coldMisses += measured;
+    ReplayStats st;
+    auto drain = [&](std::uint64_t upTo) {
+        for (auto b = src.next(upTo); !b.empty(); b = src.next(upTo)) {
+            st.accesses += b.size();
+            for (std::size_t i = 0; i < b.size(); ++i) {
+                if (i + kPrefetch < b.size())
+                    kernel.prefetch(b[i + kPrefetch]);
+                PageId page = b[i];
+                if (kernel.access(page)) {
+                    ++st.hits;
+                    continue;
+                }
+                ++st.misses;
+                if (cold.firstTouch(page))
+                    ++st.coldMisses;
             }
         }
-        done += n;
-    }
+    };
+    drain(warmup);
+    ReplayStats atWarmup = st;
+    drain(src.size());
+    WindowedReplay w{st, st};
+    w.measured.accesses -= atWarmup.accesses;
+    w.measured.hits -= atWarmup.hits;
+    w.measured.misses -= atWarmup.misses;
+    w.measured.coldMisses -= atWarmup.coldMisses;
     return w;
 }
 
-template <typename Kernel>
-ReplayStats
-replayPagesLoop(Kernel &kernel, const PageId *pages, std::size_t n,
-                ColdTracker &cold)
-{
-    ReplayStats st;
-    st.accesses = n;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (i + kPrefetch < n)
-            kernel.prefetch(pages[i + kPrefetch]);
-        PageId page = pages[i];
-        WSC_ASSERT(page != PageSlotMap::kEmptyKey,
-                   "page id ~0 is reserved");
-        if (kernel.access(page)) {
-            ++st.hits;
-            continue;
-        }
-        ++st.misses;
-        if (cold.firstTouch(page))
-            ++st.coldMisses;
-    }
-    return st;
-}
-
 } // namespace
+
+WindowedReplay
+replayWindowed(PageSource &src, PolicyKind kind, std::size_t frames,
+               std::uint64_t warmup, Rng kernelRng)
+{
+    WSC_ASSERT(frames > 0, "need at least one frame");
+    WSC_ASSERT(warmup <= src.size(), "warmup longer than the replay");
+    ColdTracker cold(src.pageBound());
+    return withPolicyKernel(kind, frames, src.pageBound(), kernelRng,
+                            [&](auto &k) {
+                                return replayLoop(k, src, warmup, cold);
+                            });
+}
 
 WindowedReplay
 replayWindowed(TraceGenerator &gen, PolicyKind kind, std::size_t frames,
                std::uint64_t pageBound, std::uint64_t accesses,
                std::uint64_t warmup, Rng kernelRng)
 {
-    ColdTracker cold(pageBound);
-    return withPolicyKernel(kind, frames, pageBound, kernelRng,
-                            [&](auto &k) {
-                                return replayLoop(k, gen, accesses,
-                                                  warmup, cold);
-                            });
+    PageSource src(gen, accesses, pageBound);
+    return replayWindowed(src, kind, frames, warmup, kernelRng);
 }
 
 ReplayStats
 replayPages(const PageId *pages, std::size_t n, PolicyKind kind,
             std::size_t frames, std::uint64_t pageBound, Rng kernelRng)
 {
-    ColdTracker cold(pageBound);
-    return withPolicyKernel(kind, frames, pageBound, kernelRng,
-                            [&](auto &k) {
-                                return replayPagesLoop(k, pages, n,
-                                                       cold);
-                            });
+    PageSource src(pages, n, pageBound);
+    return replayWindowed(src, kind, frames, 0, kernelRng).total;
+}
+
+ReplayStats
+replayStream(TraceStream &ts, PolicyKind kind, std::size_t frames,
+             Rng kernelRng)
+{
+    PageSource src(ts);
+    return replayWindowed(src, kind, frames, 0, kernelRng).total;
 }
 
 ReplayStats
@@ -218,51 +202,13 @@ replayProfile(const TraceProfile &profile, double localFraction,
                "local fraction out of (0, 1]");
     auto frames = std::size_t(
         std::ceil(double(profile.footprintPages) * localFraction));
-    // Same Rng derivation as the TwoLevelMemory oracle replay that
-    // test_replay checks this against, so results stay bit-identical
-    // for any (profile, fraction, seed).
-    Rng rng(seed);
-    Rng kernel_rng = rng.split();
-    TraceGenerator gen(profile, rng.split());
+    // The TwoLevelMemory oracle replay that test_replay checks this
+    // against derives its Rngs the same way, so results stay
+    // bit-identical for any (profile, fraction, seed).
+    auto [kernelRng, gen] = profileTrace(profile, seed);
     return replayWindowed(gen, kind, frames, profile.footprintPages,
-                          accesses, 0, kernel_rng)
+                          accesses, 0, kernelRng)
         .total;
-}
-
-ReplayStats
-shardedReplayProfile(const TraceProfile &profile, double localFraction,
-                     PolicyKind kind, std::uint64_t accesses,
-                     std::uint64_t seed, unsigned shards,
-                     ThreadPool *pool)
-{
-    WSC_ASSERT(shards > 0, "need at least one shard");
-    WSC_ASSERT(localFraction > 0.0 && localFraction <= 1.0,
-               "local fraction out of (0, 1]");
-
-    std::vector<ReplayStats> parts(shards);
-    parallelFor(
-        shards,
-        [&](std::size_t s) {
-            std::uint64_t base = accesses / shards;
-            std::uint64_t n = base + (s < accesses % shards ? 1 : 0);
-            // Seed from the shard's identity, never from scheduling.
-            std::uint64_t shard_seed =
-                seedFor(seed, std::string_view(profile.name),
-                        std::uint64_t(shards), std::uint64_t(s));
-            parts[s] = replayProfile(profile, localFraction, kind, n,
-                                     shard_seed);
-        },
-        pool);
-
-    // Deterministic merge: sum in shard order.
-    ReplayStats merged;
-    for (const auto &p : parts) {
-        merged.accesses += p.accesses;
-        merged.hits += p.hits;
-        merged.misses += p.misses;
-        merged.coldMisses += p.coldMisses;
-    }
-    return merged;
 }
 
 } // namespace memblade

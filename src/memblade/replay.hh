@@ -19,18 +19,16 @@
  *  - ColdTracker: first-touch accounting via a footprint-sized bitset
  *    instead of an unordered_map per page.
  *
- * The replay drivers devirtualize policy dispatch (one switch per
- * replay, a template loop per policy) and pull page ids in batches
- * from TraceGenerator::nextBatch.
+ * Every replay entry point runs one loop: policy dispatch is
+ * devirtualized (one switch per replay, the loop instantiated per
+ * kernel) and page ids arrive in batches from a PageSource, whatever
+ * their source — generator, page array or streaming trace.
  *
  * Determinism contract: each kernel makes bit-identical hit/miss
  * decisions to its legacy ReplacementPolicy counterpart (the legacy
  * classes are kept as the per-access validation oracle), and
  * RandomKernel draws its Rng in exactly the same order as
- * RandomPolicy. Sharded replays derive per-shard seeds from
- * (seed, profile, shard count, shard index) via util/hash.hh, so the
- * merged result depends only on those identities — never on thread
- * count or scheduling.
+ * RandomPolicy.
  */
 
 #ifndef WSC_MEMBLADE_REPLAY_HH
@@ -40,6 +38,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "memblade/page_source.hh"
 #include "memblade/replacement.hh"
 #include "memblade/trace.hh"
 #include "util/hash.hh"
@@ -47,10 +46,9 @@
 #include "util/random.hh"
 
 namespace wsc {
-
-class ThreadPool;
-
 namespace memblade {
+
+class TraceStream;
 
 /** Aggregate statistics of one trace replay. */
 struct ReplayStats {
@@ -417,17 +415,26 @@ struct WindowedReplay {
 };
 
 /**
- * Batched, devirtualized replay of @p accesses pages from @p gen
- * through one kernel of @p kind with @p frames frames.
+ * Batched, devirtualized replay of every page of @p src through one
+ * kernel of @p kind with @p frames frames: the one policy replay
+ * every other entry point below runs.
  *
- * Shared driver for the memory-blade replays (warmup = 0, use
- * .total) and the flash-cache steady-state measurement (warmup =
- * accesses/2, use .measured); cold misses are tracked across the
- * whole replay with a bitset bounded by @p pageBound.
+ * Serves the memory-blade replays (warmup = 0, use .total) and the
+ * flash-cache steady-state measurement (warmup = accesses/2, use
+ * .measured); cold misses are tracked across the whole replay, sized
+ * by the source's page bound. The measured window is the running
+ * total less a snapshot taken at page index @p warmup, so it costs
+ * nothing per access.
  *
  * @param kernelRng Consumed only by PolicyKind::Random, in the same
  *        order as the legacy policy.
  */
+WindowedReplay replayWindowed(PageSource &src, PolicyKind kind,
+                              std::size_t frames, std::uint64_t warmup,
+                              Rng kernelRng);
+
+/** replayWindowed over the next @p accesses pages of @p gen, ids
+ * < @p pageBound. */
 WindowedReplay replayWindowed(TraceGenerator &gen, PolicyKind kind,
                               std::size_t frames,
                               std::uint64_t pageBound,
@@ -445,9 +452,21 @@ ReplayStats replayPages(const PageId *pages, std::size_t n,
                         std::uint64_t pageBound, Rng kernelRng);
 
 /**
+ * Replay the rest of a streaming trace through one kernel of @p kind
+ * with @p frames frames, batched straight off the mapping. The kernel
+ * and cold tracker are sized from the header page bound — no
+ * pre-scan.
+ *
+ * @param kernelRng Consumed only by PolicyKind::Random.
+ */
+ReplayStats replayStream(TraceStream &ts, PolicyKind kind,
+                         std::size_t frames, Rng kernelRng);
+
+/**
  * Miss rate of a profile at a given local fraction: a two-level
  * memory (local DRAM + remote blade) whose local level holds
- * ceil(footprint * localFraction) frames.
+ * ceil(footprint * localFraction) frames, replaying the trace of
+ * profileTrace(profile, seed).
  *
  * @param profile Trace profile.
  * @param localFraction Local memory as a fraction of the footprint.
@@ -458,26 +477,6 @@ ReplayStats replayPages(const PageId *pages, std::size_t n,
 ReplayStats replayProfile(const TraceProfile &profile,
                           double localFraction, PolicyKind kind,
                           std::uint64_t accesses, std::uint64_t seed);
-
-/**
- * Shard a long replay across @p shards independent trace segments and
- * merge the statistics.
- *
- * Each shard replays accesses/shards accesses (the remainder spread
- * over the first shards) of an independent generator stream seeded by
- * seedFor(seed, profile.name, shards, shard); stats are summed in
- * shard order. The result therefore depends on (seed, shards) but
- * never on the pool width: any thread count, including serial,
- * produces bit-identical totals. Cold misses are per-shard
- * first-touches (shards are independent streams).
- *
- * @param pool Pool for the fan-out; nullptr = ThreadPool::global().
- */
-ReplayStats shardedReplayProfile(const TraceProfile &profile,
-                                 double localFraction, PolicyKind kind,
-                                 std::uint64_t accesses,
-                                 std::uint64_t seed, unsigned shards,
-                                 ThreadPool *pool = nullptr);
 
 } // namespace memblade
 } // namespace wsc

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 
 #include "util/logging.hh"
 
@@ -41,7 +42,7 @@ StackDistanceEngine::StackDistanceEngine(std::uint64_t pageBound,
     narrow.assign(narrowSize, 0);
     wide.assign(wideSize, 0);
     // Distances are < min(pageBound, maxAccesses), so the histogram
-    // is sized once, here (the measured one on beginMeasurement).
+    // is sized once, here.
     hist.assign(std::size_t(std::min(pageBound, maxAccesses)) + 1, 0);
 }
 
@@ -126,14 +127,10 @@ StackDistanceEngine::access(const PageId *pages, std::size_t n)
 #endif
         PageId page = pages[i];
         ++now;
-        if (measuring)
-            ++measuredAccesses_;
         std::uint32_t prev = last[page];
         if (prev == 0) {
             // First touch: infinite distance, a miss at every capacity.
             ++cold;
-            if (measuring)
-                ++measuredCold;
         } else {
             // The other pages touched since prev are the live
             // timestamps in (prev, now): each distinct page seen holds
@@ -145,8 +142,6 @@ StackDistanceEngine::access(const PageId *pages, std::size_t n)
             WSC_ASSERT(d < hist.size(),
                        "stack distance out of range: " << d);
             ++hist[d];
-            if (measuring)
-                ++measuredHist[d];
             kill(prev);
         }
         last[page] = now;
@@ -155,15 +150,21 @@ StackDistanceEngine::access(const PageId *pages, std::size_t n)
 
 namespace {
 
+/** Cumulative hits by capacity of the histogram @p hist less the
+ * snapshot @p base (hist's size; nullptr = none). */
 std::vector<std::uint64_t>
-cumulate(const std::vector<std::uint32_t> &hist)
+cumulate(const std::vector<std::uint32_t> &hist,
+         const std::uint32_t *base)
 {
+    auto at = [&](std::size_t d) {
+        return hist[d] - (base ? base[d] : 0);
+    };
     std::size_t top = hist.size();
-    while (top > 0 && hist[top - 1] == 0)
+    while (top > 0 && at(top - 1) == 0)
         --top;
     std::vector<std::uint64_t> cum(top + 1, 0);
     for (std::size_t d = 0; d < top; ++d)
-        cum[d + 1] = cum[d] + hist[d];
+        cum[d + 1] = cum[d] + at(d);
     return cum;
 }
 
@@ -172,70 +173,53 @@ cumulate(const std::vector<std::uint32_t> &hist)
 StackDistanceCurve
 StackDistanceEngine::finish() const
 {
+    // Never begun: the window is empty, as if begun at the end.
+    bool begun = !warmupHist.empty();
     StackDistanceCurve c;
     c.accesses = now;
     c.coldMisses = cold;
-    c.measuredAccesses = measuredAccesses_;
-    c.measuredColdMisses = measuredCold;
-    c.cumHits = cumulate(hist);
-    c.measuredCumHits = cumulate(measuredHist);
+    c.measuredAccesses = begun ? now - warmupAccesses : 0;
+    c.measuredColdMisses = begun ? cold - warmupCold : 0;
+    c.cumHits = cumulate(hist, nullptr);
+    c.measuredCumHits =
+        cumulate(hist, begun ? warmupHist.data() : hist.data());
     return c;
+}
+
+StackDistanceCurve
+lruCurve(PageSource &src, std::uint64_t warmup)
+{
+    if (src.size() >= std::numeric_limits<std::uint32_t>::max())
+        fatal("stack-distance sweep supports traces below 2^32 "
+              "accesses; replay directly instead");
+    WSC_ASSERT(warmup <= src.size(), "warmup longer than the trace");
+    StackDistanceEngine eng(src.pageBound(), src.size());
+    auto drain = [&](std::uint64_t upTo) {
+        for (auto b = src.next(upTo); !b.empty(); b = src.next(upTo))
+            eng.access(b.data(), b.size());
+    };
+    drain(warmup);
+    if (warmup < src.size())
+        eng.beginMeasurement();
+    drain(src.size());
+    return eng.finish();
 }
 
 StackDistanceCurve
 lruCurve(TraceGenerator &gen, std::uint64_t pageBound,
          std::uint64_t accesses, std::uint64_t warmup)
 {
-    StackDistanceEngine eng(pageBound, accesses);
-    constexpr std::size_t kChunk = 4096;
-    std::vector<PageId> buf(kChunk);
-    std::uint64_t done = 0;
-    while (done < accesses) {
-        auto n = std::size_t(
-            std::min<std::uint64_t>(kChunk, accesses - done));
-        gen.nextBatch(buf.data(), n);
-        // Split the chunk where the measured window starts.
-        std::size_t head = warmup >= done && warmup - done < n
-                               ? std::size_t(warmup - done)
-                               : n;
-        eng.access(buf.data(), head);
-        if (head < n)
-            eng.beginMeasurement();
-        eng.access(buf.data() + head, n - head);
-        done += n;
-    }
-    return eng.finish();
+    PageSource src(gen, accesses, pageBound);
+    return lruCurve(src, warmup);
 }
 
 StackDistanceCurve
 lruCurveForProfile(const TraceProfile &profile, std::uint64_t accesses,
                    std::uint64_t seed)
 {
-    // Mirror replayProfile's Rng derivation: the kernel split is
-    // drawn (and discarded — LRU consumes no randomness) so the
-    // generator sees the identical stream.
-    Rng rng(seed);
-    (void)rng.split();
-    TraceGenerator gen(profile, rng.split());
+    // LRU consumes no randomness: the kernel Rng goes unused.
+    auto gen = profileTrace(profile, seed).second;
     return lruCurve(gen, profile.footprintPages, accesses, accesses);
-}
-
-std::vector<ReplayStats>
-replayProfileSweep(const TraceProfile &profile,
-                   const std::vector<double> &localFractions,
-                   std::uint64_t accesses, std::uint64_t seed)
-{
-    auto curve = lruCurveForProfile(profile, accesses, seed);
-    std::vector<ReplayStats> out;
-    out.reserve(localFractions.size());
-    for (double f : localFractions) {
-        WSC_ASSERT(f > 0.0 && f <= 1.0,
-                   "local fraction out of (0, 1]");
-        auto frames = std::size_t(
-            std::ceil(double(profile.footprintPages) * f));
-        out.push_back(curve.statsAt(frames));
-    }
-    return out;
 }
 
 } // namespace memblade

@@ -30,13 +30,18 @@
  * (~330 KB for 2M accesses), small enough to stay cache-resident;
  * space O(n/6 bytes + footprint).
  *
- * Determinism contract: lruCurveForProfile consumes its Rng in
- * exactly the order replayProfile does, so curve.statsAt(frames) is
- * bit-identical — same integer hit/miss/cold counts, hence the same
- * double rates — to replayProfile(profile, fraction, Lru, accesses,
- * seed) for every fraction, and the measured window matches the
- * flash-cache warmup/measure split the same way. The per-access LRU
- * kernel stays in the tree as the validation oracle (test_replay).
+ * The measured window is a snapshot: at the warmup index the engine
+ * copies its histogram and counters, and finish() subtracts them from
+ * the final ones, exact because every field is an integer count.
+ *
+ * Determinism contract: lruCurveForProfile replays the trace of
+ * profileTrace(profile, seed), as replayProfile does, so
+ * curve.statsAt(frames) is bit-identical — same integer
+ * hit/miss/cold counts, hence the same double rates — to
+ * replayProfile(profile, fraction, Lru, accesses, seed) for every
+ * fraction, and the measured window matches the flash-cache
+ * warmup/measure split the same way. The per-access LRU kernel stays
+ * in the tree as the validation oracle (test_replay).
  */
 
 #ifndef WSC_MEMBLADE_STACK_DISTANCE_HH
@@ -45,6 +50,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "memblade/page_source.hh"
 #include "memblade/replay.hh"
 #include "memblade/trace.hh"
 #include "util/zero_pages.hh"
@@ -97,15 +103,6 @@ struct StackDistanceCurve {
         st.coldMisses = coldMisses;
         return st;
     }
-
-    /** Measured-window hit rate at @p frames frames. */
-    double
-    measuredHitRateAt(std::size_t frames) const
-    {
-        return measuredAccesses ? double(measuredHitsAt(frames)) /
-                                      double(measuredAccesses)
-                                : 0.0;
-    }
 };
 
 /**
@@ -129,15 +126,17 @@ class StackDistanceEngine
      */
     void access(const PageId *pages, std::size_t n);
 
-    /** Subsequent accesses also count toward the measured window. */
+    /** Start the measured window here: snapshot the counts so far. */
     void
     beginMeasurement()
     {
-        measuring = true;
-        measuredHist.resize(hist.size(), 0);
+        warmupHist = hist;
+        warmupCold = cold;
+        warmupAccesses = now;
     }
 
-    /** Build the cumulative curve from the histograms. */
+    /** Build the cumulative curves: the whole trace, and what was
+     * added since beginMeasurement() (nothing if never called). */
     StackDistanceCurve finish() const;
 
   private:
@@ -166,44 +165,39 @@ class StackDistanceEngine
     std::vector<std::uint32_t> wide;
     std::vector<std::size_t> narrowStart, wideStart;
     /** hist[d] counts; uint32 suffices (counts <= maxAccesses < 2^32)
-     * and halves the randomly-indexed footprint. */
-    std::vector<std::uint32_t> hist, measuredHist;
-    std::uint32_t now = 0;
+     * and halves the randomly-indexed footprint. warmupHist is its
+     * snapshot at beginMeasurement() (empty before). */
+    std::vector<std::uint32_t> hist, warmupHist;
+    std::uint32_t now = 0, warmupAccesses = 0;
     std::uint32_t capacity_ = 0; //!< max access() calls
-    std::uint64_t cold = 0, measuredCold = 0, measuredAccesses_ = 0;
-    bool measuring = false;
+    std::uint64_t cold = 0, warmupCold = 0;
 };
 
 /**
- * Drain @p accesses pages from @p gen (batched) through the engine.
- *
- * Accesses at index >= @p warmup form the measured window (pass
- * warmup == accesses for a whole-trace curve with no window).
+ * The one stack-distance pass: every page of @p src through the
+ * engine. Accesses at index >= @p warmup form the measured window
+ * (pass warmup == src.size() for a whole-trace curve with no window).
+ * Fatal, before any page is read, on sources of 2^32 or more pages
+ * (the engine's timestamp width); such traces replay directly.
  */
+StackDistanceCurve lruCurve(PageSource &src, std::uint64_t warmup);
+
+/** lruCurve over the next @p accesses pages of @p gen, ids < @p
+ * pageBound. */
 StackDistanceCurve lruCurve(TraceGenerator &gen,
                             std::uint64_t pageBound,
                             std::uint64_t accesses,
                             std::uint64_t warmup);
 
 /**
- * Single-pass exact-LRU curve for a synthetic profile, mirroring
- * replayProfile's RNG derivation: statsAt(ceil(footprint * f)) is
+ * Single-pass exact-LRU curve for a synthetic profile, over the trace
+ * of profileTrace(profile, seed): statsAt(ceil(footprint * f)) is
  * bit-identical to replayProfile(profile, f, PolicyKind::Lru,
  * accesses, seed) for any fraction f.
  */
 StackDistanceCurve lruCurveForProfile(const TraceProfile &profile,
                                       std::uint64_t accesses,
                                       std::uint64_t seed);
-
-/**
- * Exact-LRU replay stats at every requested local fraction from one
- * trace pass (the N-replay sweep collapsed). Only LRU has the
- * inclusion property; Random/Clock sweeps still replay per fraction.
- */
-std::vector<ReplayStats> replayProfileSweep(
-    const TraceProfile &profile,
-    const std::vector<double> &localFractions, std::uint64_t accesses,
-    std::uint64_t seed);
 
 } // namespace memblade
 } // namespace wsc

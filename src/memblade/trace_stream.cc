@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 
-#include "memblade/policy_zoo.hh"
+#include "memblade/page_source.hh"
 #include "util/endian.hh"
 #include "util/logging.hh"
 
@@ -258,95 +257,35 @@ TraceStream::releaseConsumed()
 #endif
 }
 
-void
-TraceStream::fetchWords(std::uint64_t *dst, std::size_t n)
+const unsigned char *
+TraceStream::records(std::uint64_t first, std::size_t &n)
 {
-    // Raw record words for n records into dst (ifstream path only).
+    if (base)
+        return base + kHeaderSize + first * stride();
+    n = std::min(n, ioBuf.size() / (stride() / 8));
     std::size_t bytes = n * stride();
-    is.read(reinterpret_cast<char *>(dst), std::streamsize(bytes));
+    is.read(reinterpret_cast<char *>(ioBuf.data()),
+            std::streamsize(bytes));
     if (std::size_t(is.gcount()) != bytes)
         fatal("'" + path_ + "': short read in streaming trace body");
+    return reinterpret_cast<const unsigned char *>(ioBuf.data());
 }
 
+template <typename Out, typename Decode>
 std::size_t
-TraceStream::fillPages(PageId *out, std::size_t maxN)
+TraceStream::fill(Out *out, std::size_t maxN, Decode decode)
 {
     auto n = std::size_t(
         std::min<std::uint64_t>(maxN, info_.count - consumed));
-    if (n == 0)
-        return 0;
     std::size_t st = stride();
     std::uint64_t batchMax = 0;
-    if (base) {
-        const unsigned char *src = base + kHeaderSize + consumed * st;
-        for (std::size_t i = 0; i < n; ++i) {
-            std::uint64_t word = loadLe64(src + i * st);
-            PageId page = word & ~kWriteBit;
-            out[i] = page;
-            batchMax = std::max(batchMax, page);
-        }
-    } else {
-        std::size_t done = 0;
-        while (done < n) {
-            std::size_t chunk =
-                std::min(n - done, ioBuf.size() / (st / 8));
-            fetchWords(ioBuf.data(), chunk);
-            const auto *src =
-                reinterpret_cast<const unsigned char *>(ioBuf.data());
-            for (std::size_t i = 0; i < chunk; ++i) {
-                std::uint64_t word = loadLe64(src + i * st);
-                PageId page = word & ~kWriteBit;
-                out[done + i] = page;
-                batchMax = std::max(batchMax, page);
-            }
-            done += chunk;
-        }
-    }
-    if (batchMax >= info_.pageBound)
-        fatal("'" + path_ + "': record page id " +
-              std::to_string(batchMax) +
-              " breaks the header page bound " +
-              std::to_string(info_.pageBound));
-    consumed += n;
-    if (base)
-        releaseConsumed();
-    return n;
-}
-
-std::size_t
-TraceStream::fillRecords(TraceRecord *out, std::size_t maxN)
-{
-    auto n = std::size_t(
-        std::min<std::uint64_t>(maxN, info_.count - consumed));
-    if (n == 0)
-        return 0;
-    std::size_t st = stride();
-    std::uint64_t batchMax = 0;
-    auto decode = [&](const unsigned char *src, std::size_t i,
-                      TraceRecord &r) {
-        std::uint64_t word = loadLe64(src + i * st);
-        r.page = word & ~kWriteBit;
-        r.write = (word & kWriteBit) != 0;
-        r.timestamp =
-            info_.hasTimestamps ? loadLe64(src + i * st + 8) : 0;
-        batchMax = std::max(batchMax, r.page);
-    };
-    if (base) {
-        const unsigned char *src = base + kHeaderSize + consumed * st;
-        for (std::size_t i = 0; i < n; ++i)
-            decode(src, i, out[i]);
-    } else {
-        std::size_t done = 0;
-        while (done < n) {
-            std::size_t chunk =
-                std::min(n - done, ioBuf.size() / (st / 8));
-            fetchWords(ioBuf.data(), chunk);
-            const auto *src =
-                reinterpret_cast<const unsigned char *>(ioBuf.data());
-            for (std::size_t i = 0; i < chunk; ++i)
-                decode(src, i, out[done + i]);
-            done += chunk;
-        }
+    for (std::size_t done = 0; done < n;) {
+        std::size_t chunk = n - done;
+        const unsigned char *src = records(consumed + done, chunk);
+        for (std::size_t i = 0; i < chunk; ++i)
+            batchMax =
+                std::max(batchMax, decode(src + i * st, out[done + i]));
+        done += chunk;
     }
     if (n > 0 && batchMax >= info_.pageBound)
         fatal("'" + path_ + "': record page id " +
@@ -357,6 +296,29 @@ TraceStream::fillRecords(TraceRecord *out, std::size_t maxN)
     if (base)
         releaseConsumed();
     return n;
+}
+
+std::size_t
+TraceStream::fillPages(PageId *out, std::size_t maxN)
+{
+    return fill(out, maxN, [](const unsigned char *src, PageId &page) {
+        page = loadLe64(src) & ~kWriteBit;
+        return page;
+    });
+}
+
+std::size_t
+TraceStream::fillRecords(TraceRecord *out, std::size_t maxN)
+{
+    bool stamped = info_.hasTimestamps;
+    return fill(out, maxN,
+                [stamped](const unsigned char *src, TraceRecord &r) {
+                    std::uint64_t word = loadLe64(src);
+                    r.page = word & ~kWriteBit;
+                    r.write = (word & kWriteBit) != 0;
+                    r.timestamp = stamped ? loadLe64(src + 8) : 0;
+                    return r.page;
+                });
 }
 
 // --------------------------------------------------------------------
@@ -390,9 +352,17 @@ void
 writeTraceStream(const std::string &path,
                  const std::vector<PageId> &trace)
 {
+    PageSource src(trace.data(), trace.size(), 0);
+    writeTraceStream(path, src);
+}
+
+void
+writeTraceStream(const std::string &path, PageSource &src)
+{
     TraceStreamWriter w(path);
-    for (PageId p : trace)
-        w.append(p);
+    for (auto b = src.next(); !b.empty(); b = src.next())
+        for (PageId p : b)
+            w.append(p);
     w.close();
 }
 
@@ -408,129 +378,6 @@ readTraceStreamPages(const std::string &path)
         done += ts.fillPages(out.data() + done,
                              std::min(kIoBatch, out.size() - done));
     return out;
-}
-
-// --------------------------------------------------------------------
-// Streaming replay
-// --------------------------------------------------------------------
-
-namespace {
-
-/** Same chunk/prefetch geometry as replay.cc's materialized loops. */
-constexpr std::size_t kChunk = 4096;
-constexpr std::size_t kPrefetch = 16;
-
-template <typename Kernel>
-WindowedReplay
-streamLoop(Kernel &kernel, TraceStream &ts, std::uint64_t warmup,
-           ColdTracker &cold)
-{
-    WindowedReplay w;
-    std::vector<PageId> buf(kChunk);
-    std::uint64_t done = 0;
-    for (;;) {
-        std::size_t n = ts.fillPages(buf.data(), kChunk);
-        if (n == 0)
-            break;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (i + kPrefetch < n)
-                kernel.prefetch(buf[i + kPrefetch]);
-            PageId page = buf[i];
-            bool measured = done + i >= warmup;
-            ++w.total.accesses;
-            w.measured.accesses += measured;
-            if (kernel.access(page)) {
-                ++w.total.hits;
-                w.measured.hits += measured;
-                continue;
-            }
-            ++w.total.misses;
-            w.measured.misses += measured;
-            if (cold.firstTouch(page)) {
-                ++w.total.coldMisses;
-                w.measured.coldMisses += measured;
-            }
-        }
-        done += n;
-    }
-    return w;
-}
-
-/** Flat (no warmup window) variant: the same accounting as replay.cc's
- * replayPagesLoop, so streaming carries no per-access bookkeeping the
- * materialized path does not — the throughput race in
- * bench_trace_replay compares like with like. */
-template <typename Kernel>
-ReplayStats
-streamFlatLoop(Kernel &kernel, TraceStream &ts, ColdTracker &cold)
-{
-    ReplayStats st;
-    std::vector<PageId> buf(kChunk);
-    for (;;) {
-        std::size_t n = ts.fillPages(buf.data(), kChunk);
-        if (n == 0)
-            break;
-        st.accesses += n;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (i + kPrefetch < n)
-                kernel.prefetch(buf[i + kPrefetch]);
-            PageId page = buf[i];
-            if (kernel.access(page)) {
-                ++st.hits;
-                continue;
-            }
-            ++st.misses;
-            if (cold.firstTouch(page))
-                ++st.coldMisses;
-        }
-    }
-    return st;
-}
-
-} // namespace
-
-WindowedReplay
-replayStreamWindowed(TraceStream &ts, PolicyKind kind,
-                     std::size_t frames, std::uint64_t warmup,
-                     Rng kernelRng)
-{
-    WSC_ASSERT(frames > 0, "need at least one frame");
-    std::uint64_t bound = ts.pageBound();
-    ColdTracker cold(bound);
-    return withPolicyKernel(kind, frames, bound, kernelRng,
-                            [&](auto &k) {
-                                return streamLoop(k, ts, warmup, cold);
-                            });
-}
-
-ReplayStats
-replayStream(TraceStream &ts, PolicyKind kind, std::size_t frames,
-             Rng kernelRng)
-{
-    WSC_ASSERT(frames > 0, "need at least one frame");
-    std::uint64_t bound = ts.pageBound();
-    ColdTracker cold(bound);
-    return withPolicyKernel(kind, frames, bound, kernelRng,
-                            [&](auto &k) {
-                                return streamFlatLoop(k, ts, cold);
-                            });
-}
-
-StackDistanceCurve
-lruCurveFromStream(TraceStream &ts)
-{
-    if (ts.count() >= std::numeric_limits<std::uint32_t>::max())
-        fatal("stack-distance sweep supports traces below 2^32 "
-              "accesses; replay directly instead");
-    StackDistanceEngine eng(ts.pageBound(), ts.count());
-    std::vector<PageId> buf(kChunk);
-    for (;;) {
-        std::size_t n = ts.fillPages(buf.data(), kChunk);
-        if (n == 0)
-            break;
-        eng.access(buf.data(), n);
-    }
-    return eng.finish();
 }
 
 } // namespace memblade

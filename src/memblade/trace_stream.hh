@@ -48,11 +48,12 @@
 #include <vector>
 
 #include "memblade/replay.hh"
-#include "memblade/stack_distance.hh"
 #include "memblade/trace.hh"
 
 namespace wsc {
 namespace memblade {
+
+class PageSource;
 
 /** One decoded streaming-trace record. */
 struct TraceRecord {
@@ -165,8 +166,19 @@ class TraceStream
 
   private:
     std::size_t stride() const { return info_.hasTimestamps ? 16 : 8; }
-    /** Raw bytes of records [consumed, consumed + n) into @p dst. */
-    void fetchWords(std::uint64_t *dst, std::size_t n);
+    /**
+     * The one decode path of fillPages and fillRecords: up to @p maxN
+     * records, each decoded by @p decode(bytes, out[i]), which returns
+     * the record's page id for the header-bound check.
+     */
+    template <typename Out, typename Decode>
+    std::size_t fill(Out *out, std::size_t maxN, Decode decode);
+    /**
+     * Raw bytes of the next records, from @p first on: the mapping
+     * itself, or (buffered) at most one io batch read into ioBuf,
+     * shrinking @p n to what was read.
+     */
+    const unsigned char *records(std::uint64_t first, std::size_t &n);
     /** Drop the mapping's fully consumed MBs from the resident set. */
     void releaseConsumed();
 
@@ -197,34 +209,14 @@ TraceStreamInfo traceStreamStats(const std::string &path);
 void writeTraceStream(const std::string &path,
                       const std::vector<PageId> &trace);
 
+/** Write every page of @p src (reads, no timestamps) as a streaming
+ * file, one batch at a time: constant memory for a generator. */
+void writeTraceStream(const std::string &path, PageSource &src);
+
 /** Materialize every page id of a streaming file (tests, small
  * conversions; defeats the point for multi-GB traces). Fills in
  * bounded chunks, so the mapping is released as the output grows. */
 std::vector<PageId> readTraceStreamPages(const std::string &path);
-
-/**
- * Replay the whole stream through one kernel of @p kind with
- * @p frames frames, batched straight off the mapping. The kernel and
- * cold tracker are sized from the header page bound — no pre-scan.
- *
- * @param kernelRng Consumed only by PolicyKind::Random.
- */
-ReplayStats replayStream(TraceStream &ts, PolicyKind kind,
-                         std::size_t frames, Rng kernelRng);
-
-/** replayStream with a warmup window (see replayWindowed). */
-WindowedReplay replayStreamWindowed(TraceStream &ts, PolicyKind kind,
-                                    std::size_t frames,
-                                    std::uint64_t warmup,
-                                    Rng kernelRng);
-
-/**
- * Single-pass Mattson stack-distance curve over a streaming trace
- * (exact LRU hit counts at every capacity). Only LRU admits the
- * sweep; other policies replay directly. Fatal on traces with 2^32 or
- * more accesses (the engine's timestamp width).
- */
-StackDistanceCurve lruCurveFromStream(TraceStream &ts);
 
 } // namespace memblade
 } // namespace wsc

@@ -8,12 +8,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <vector>
 
 #include "memblade/hierarchy.hh"
-#include "memblade/trace_io.hh"
-#include "memblade/trace_stream.hh"
+#include "memblade/page_source.hh"
+#include "memblade/replay.hh"
 #include "util/logging.hh"
 
 namespace {
@@ -38,6 +37,13 @@ sampleTrace(std::uint64_t n = 20000)
 {
     auto profile = profileFor(workloads::Benchmark::Webmail);
     return generateTrace(profile, n, Rng(42));
+}
+
+HierarchyStats
+hierarchyReplay(const std::vector<PageId> &trace, const HierarchyParams &p)
+{
+    PageSource src(trace.data(), trace.size(), 0);
+    return replayHierarchy(src, p);
 }
 
 TEST(Hierarchy, RejectsInvalidParams)
@@ -131,9 +137,8 @@ TEST(Hierarchy, ExclusiveEqualsSingleLruOfCombinedCapacity)
     auto trace = generateTrace(profile, 40000, Rng(7));
     const std::size_t l1 = 300, l2 = 1200;
 
-    auto hs = replayHierarchyPages(
-        trace.data(), trace.size(),
-        params(l1, l2, HierarchyMode::Exclusive));
+    auto hs =
+        hierarchyReplay(trace, params(l1, l2, HierarchyMode::Exclusive));
     auto flat = replayPages(trace.data(), trace.size(),
                             PolicyKind::Lru, l1 + l2,
                             profile.footprintPages, Rng(4));
@@ -146,12 +151,10 @@ TEST(Hierarchy, ExclusiveEqualsSingleLruOfCombinedCapacity)
 TEST(Hierarchy, InclusiveNeverBeatsExclusiveAtEqualFrames)
 {
     auto trace = sampleTrace(40000);
-    auto inc = replayHierarchyPages(
-        trace.data(), trace.size(),
-        params(200, 800, HierarchyMode::Inclusive));
-    auto exc = replayHierarchyPages(
-        trace.data(), trace.size(),
-        params(200, 800, HierarchyMode::Exclusive));
+    auto inc = hierarchyReplay(trace,
+                               params(200, 800, HierarchyMode::Inclusive));
+    auto exc = hierarchyReplay(trace,
+                               params(200, 800, HierarchyMode::Exclusive));
     EXPECT_GE(inc.misses, exc.misses);
 }
 
@@ -186,40 +189,23 @@ TEST(Hierarchy, PrefetchBufferStaysDisjointFromLevels)
             << p;
 }
 
-TEST(Hierarchy, StreamReplayMatchesPagesReplay)
-{
-    const char *path = "/tmp/wsc_hier.strace";
-    auto trace = sampleTrace(30000);
-    writeTraceStream(path, trace);
-
-    for (auto mode :
-         {HierarchyMode::Inclusive, HierarchyMode::Exclusive}) {
-        auto p = params(150, 600, mode, 4);
-        auto fromPages =
-            replayHierarchyPages(trace.data(), trace.size(), p);
-        TraceStream ts(path);
-        auto fromStream = replayHierarchyStream(ts, p);
-        EXPECT_EQ(fromStream.accesses, fromPages.accesses);
-        EXPECT_EQ(fromStream.l1Hits, fromPages.l1Hits);
-        EXPECT_EQ(fromStream.l2Hits, fromPages.l2Hits);
-        EXPECT_EQ(fromStream.prefetchHits, fromPages.prefetchHits);
-        EXPECT_EQ(fromStream.misses, fromPages.misses);
-    }
-    std::remove(path);
-}
-
 TEST(Hierarchy, ProfileReplayIsDeterministic)
 {
     auto profile = profileFor(workloads::Benchmark::MapredWc);
     auto p = params(100, 400, HierarchyMode::Exclusive, 2);
-    auto a = replayHierarchyProfile(profile, p, 25000, 11);
-    auto b = replayHierarchyProfile(profile, p, 25000, 11);
+    auto replayProfile = [&](std::uint64_t seed) {
+        auto gen = profileTrace(profile, seed).second;
+        PageSource src(gen, 25000, profile.footprintPages);
+        return replayHierarchy(src, p);
+    };
+    auto a = replayProfile(11);
+    auto b = replayProfile(11);
     EXPECT_EQ(a.accesses, b.accesses);
     EXPECT_EQ(a.l1Hits, b.l1Hits);
     EXPECT_EQ(a.l2Hits, b.l2Hits);
     EXPECT_EQ(a.prefetchHits, b.prefetchHits);
     EXPECT_EQ(a.misses, b.misses);
-    auto c = replayHierarchyProfile(profile, p, 25000, 12);
+    auto c = replayProfile(12);
     EXPECT_TRUE(a.misses != c.misses || a.l1Hits != c.l1Hits ||
                 a.prefetchHits != c.prefetchHits)
         << "different seeds produced identical stats";

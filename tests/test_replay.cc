@@ -3,7 +3,8 @@
  * Replay-engine correctness: the allocation-free kernels against the
  * legacy policies (the per-access oracle), batched generation against
  * the seed's scalar generator, the stack-distance curve against direct
- * LRU replays, and sharded-replay determinism across thread counts.
+ * LRU replays, every page source against every analysis, and the
+ * pinned results of every replay entry point.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <unordered_map>
 
 #include "flashcache/io_trace.hh"
+#include "memblade/hierarchy.hh"
 #include "memblade/hybrid.hh"
 #include "memblade/replay.hh"
 #include "memblade/stack_distance.hh"
@@ -24,7 +26,6 @@
 #include "oracles/two_level.hh"
 #include "util/hash.hh"
 #include "util/logging.hh"
-#include "util/thread_pool.hh"
 
 namespace {
 
@@ -279,21 +280,6 @@ TEST(StackDistance, LongTraceMatchesDirectLruReplay)
     }
 }
 
-TEST(StackDistance, SweepMatchesIndividualReplays)
-{
-    auto profile = profileFor(workloads::Benchmark::Webmail);
-    const std::vector<double> fractions{0.0625, 0.125, 0.25, 0.5,
-                                        0.9};
-    auto swept = replayProfileSweep(profile, fractions, 80000, 17);
-    ASSERT_EQ(swept.size(), fractions.size());
-    for (std::size_t i = 0; i < fractions.size(); ++i) {
-        SCOPED_TRACE(fractions[i]);
-        expectSameStats(swept[i],
-                        replayProfile(profile, fractions[i],
-                                      PolicyKind::Lru, 80000, 17));
-    }
-}
-
 TEST(StackDistance, MeasuredWindowMatchesWindowedReplay)
 {
     auto profile = profileFor(workloads::Benchmark::Websearch);
@@ -312,24 +298,139 @@ TEST(StackDistance, MeasuredWindowMatchesWindowedReplay)
     EXPECT_EQ(curve.measuredColdMisses, w.measured.coldMisses);
 }
 
-TEST(ShardedReplay, IdenticalAcrossThreadCounts)
+// The 2^32-access limit of the engine's timestamps is refused before
+// the source hands out a single page, whatever the source.
+TEST(StackDistance, CurveRejectsTracesOf2To32PagesBeforeReading)
 {
     auto profile = profileFor(workloads::Benchmark::Websearch);
-    for (auto kind : {PolicyKind::Lru, PolicyKind::Random}) {
-        SCOPED_TRACE(to_string(kind));
-        ThreadPool one(1);
-        auto ref = shardedReplayProfile(profile, 0.25, kind, 100001,
-                                        42, 8, &one);
-        // 100001 accesses over 8 shards: the remainder spreads over
-        // the first shard, so uneven splits are covered too.
-        for (unsigned threads : {2u, 8u}) {
-            SCOPED_TRACE(threads);
-            ThreadPool pool(threads);
-            auto got = shardedReplayProfile(profile, 0.25, kind,
-                                            100001, 42, 8, &pool);
-            expectSameStats(ref, got);
+    TraceGenerator gen(profile, Rng(3));
+    const Rng before = gen.drawStream();
+    PageSource src(gen, std::uint64_t(1) << 32, profile.footprintPages);
+    EXPECT_THROW(lruCurve(src, 0), FatalError);
+    EXPECT_TRUE(gen.drawStream().raw() == before.raw());
+}
+
+// Every source hands every analysis the same pages: the generator,
+// the page array, and the streaming file mapped and buffered give
+// the same counts for every policy, flat and windowed, for the LRU
+// curve with its measured window, and for the hierarchy in both
+// modes. The warmups sit at the start, inside a batch, on a batch
+// boundary and at the end.
+TEST(PageSource, EverySourceFeedsEveryAnalysisAlike)
+{
+    auto profile = profileFor(workloads::Benchmark::Ytube);
+    const std::uint64_t n = 3 * PageSource::kChunk + 1234;
+    const std::uint64_t warmups[] = {0, 5000, 2 * PageSource::kChunk, n};
+    const std::size_t frames = 2000;
+    const std::string path = testing::TempDir() + "wsc_matrix.strace";
+    auto trace = generateTrace(profile, n, Rng(19));
+    writeTraceStream(path, trace);
+
+    const char *names[] = {"generator", "array", "mmap", "buffered"};
+    // Run @p fn on a fresh source of the trace, of kind @p s.
+    auto withSource = [&](int s, auto &&fn) {
+        if (s == 0) {
+            TraceGenerator gen(profile, Rng(19));
+            PageSource src(gen, n, profile.footprintPages);
+            return fn(src);
         }
+        if (s == 1) {
+            PageSource src(trace.data(), trace.size(),
+                           profile.footprintPages);
+            return fn(src);
+        }
+        TraceStream ts(path, /*forceBuffered=*/s == 3);
+        if (s == 3) {
+            EXPECT_FALSE(ts.mapped());
+        }
+        PageSource src(ts);
+        return fn(src);
+    };
+    // The source's own flat-replay entry point.
+    auto flatEntry = [&](int s, PolicyKind kind) {
+        if (s == 0) {
+            TraceGenerator gen(profile, Rng(19));
+            return replayWindowed(gen, kind, frames,
+                                  profile.footprintPages, n, 0, Rng(4))
+                .total;
+        }
+        if (s == 1)
+            return replayPages(trace.data(), trace.size(), kind, frames,
+                               profile.footprintPages, Rng(4));
+        TraceStream ts(path, /*forceBuffered=*/s == 3);
+        return replayStream(ts, kind, frames, Rng(4));
+    };
+
+    auto analyses = [&](int s) {
+        std::vector<std::uint64_t> out;
+        auto put = [&](std::initializer_list<std::uint64_t> v) {
+            out.insert(out.end(), v);
+        };
+        auto putStats = [&](const ReplayStats &st) {
+            put({st.accesses, st.hits, st.misses, st.coldMisses});
+        };
+        ReplayStats lruFlat;
+        std::vector<ReplayStats> lruMeasured;
+        for (PolicyKind kind : allPolicyKinds) {
+            SCOPED_TRACE(to_string(kind));
+            auto flat = withSource(s, [&](PageSource &src) {
+                return replayWindowed(src, kind, frames, 0, Rng(4));
+            });
+            expectSameStats(flat.total, flat.measured);
+            expectSameStats(flat.total, flatEntry(s, kind));
+            putStats(flat.total);
+            for (std::uint64_t warm : warmups) {
+                SCOPED_TRACE(warm);
+                auto w = withSource(s, [&](PageSource &src) {
+                    return replayWindowed(src, kind, frames, warm,
+                                          Rng(4));
+                });
+                expectSameStats(w.total, flat.total);
+                EXPECT_EQ(w.measured.accesses, n - warm);
+                putStats(w.measured);
+                if (kind == PolicyKind::Lru)
+                    lruMeasured.push_back(w.measured);
+            }
+            if (kind == PolicyKind::Lru)
+                lruFlat = flat.total;
+        }
+        for (std::size_t i = 0; i < std::size(warmups); ++i) {
+            SCOPED_TRACE(warmups[i]);
+            auto c = withSource(s, [&](PageSource &src) {
+                return lruCurve(src, warmups[i]);
+            });
+            expectSameStats(c.statsAt(frames), lruFlat);
+            EXPECT_EQ(c.measuredAccesses, lruMeasured[i].accesses);
+            EXPECT_EQ(c.measuredHitsAt(frames), lruMeasured[i].hits);
+            EXPECT_EQ(c.measuredColdMisses, lruMeasured[i].coldMisses);
+            put({c.accesses, c.coldMisses, c.measuredAccesses,
+                 c.measuredColdMisses});
+            out.insert(out.end(), c.cumHits.begin(), c.cumHits.end());
+            out.insert(out.end(), c.measuredCumHits.begin(),
+                       c.measuredCumHits.end());
+        }
+        for (auto mode :
+             {HierarchyMode::Inclusive, HierarchyMode::Exclusive}) {
+            HierarchyParams p;
+            p.l1Frames = 150;
+            p.l2Frames = 600;
+            p.mode = mode;
+            p.prefetchDepth = 4;
+            auto h = withSource(s, [&](PageSource &src) {
+                return replayHierarchy(src, p);
+            });
+            put({h.accesses, h.l1Hits, h.l2Hits, h.prefetchHits,
+                 h.misses});
+        }
+        return out;
+    };
+
+    auto ref = analyses(0);
+    for (int s = 1; s < 4; ++s) {
+        SCOPED_TRACE(names[s]);
+        EXPECT_EQ(analyses(s), ref);
     }
+    std::remove(path.c_str());
 }
 
 TEST(PageSlotMap, ChurnMatchesUnorderedMapReference)

@@ -216,6 +216,23 @@ TEST(MembladeTool, CurveRejectsHierarchy)
         << out;
 }
 
+// The stack-distance engine's 32-bit timestamps cap a curve below
+// 2^32 accesses: a longer synthetic curve is refused with a message
+// before any page is generated, as a longer .strace file is.
+TEST(MembladeTool, CurveRejectsTracesOf2To32Accesses)
+{
+    std::string out;
+    EXPECT_EQ(runMemblade("--benchmark websearch --curve 4 "
+                          "--accesses 5e9",
+                          out),
+              1)
+        << out;
+    EXPECT_NE(out.find("stack-distance sweep supports traces below "
+                       "2^32 accesses"),
+              std::string::npos)
+        << out;
+}
+
 // --generate writes the trace and exits: a replay mode beside it
 // would silently do nothing, so the tool refuses the combination
 // before writing anything.

@@ -28,6 +28,7 @@
 
 #include "memblade/contention.hh"
 #include "memblade/hierarchy.hh"
+#include "memblade/page_source.hh"
 #include "memblade/stack_distance.hh"
 #include "memblade/trace_io.hh"
 #include "memblade/trace_stream.hh"
@@ -79,7 +80,8 @@ printHierarchy(const HierarchyStats &hs, const HierarchyParams &hp)
 void
 printStreamCurve(TraceStream &ts, unsigned points)
 {
-    auto curve = lruCurveFromStream(ts);
+    PageSource src(ts);
+    auto curve = lruCurve(src, src.size());
     std::uint64_t footprint = ts.pageBound();
     std::cout << "LRU miss-rate curve (" << ts.count()
               << " accesses, page bound " << footprint
@@ -210,11 +212,12 @@ main(int argc, char **argv)
                 HierarchyStats hs;
                 if (streaming) {
                     TraceStream ts(path);
-                    hs = replayHierarchyStream(ts, hp);
+                    PageSource src(ts);
+                    hs = replayHierarchy(src, hp);
                 } else {
                     auto trace = loadTrace(path);
-                    hs = replayHierarchyPages(trace.data(),
-                                              trace.size(), hp);
+                    PageSource src(trace.data(), trace.size(), 0);
+                    hs = replayHierarchy(src, hp);
                 }
                 printHierarchy(hs, hp);
                 return 0;
@@ -253,9 +256,9 @@ main(int argc, char **argv)
             if (hierarchical) {
                 hp.l1Frames = std::size_t(std::ceil(
                     double(profile.footprintPages) * local));
-                auto hs =
-                    replayHierarchyProfile(profile, hp, n, seed);
-                printHierarchy(hs, hp);
+                auto gen = profileTrace(profile, seed).second;
+                PageSource src(gen, n, profile.footprintPages);
+                printHierarchy(replayHierarchy(src, hp), hp);
                 return 0;
             }
             if (points > 0) {

@@ -18,6 +18,7 @@
 #include <iostream>
 #include <vector>
 
+#include "memblade/page_source.hh"
 #include "memblade/trace_io.hh"
 #include "memblade/trace_stream.hh"
 #include "util/args.hh"
@@ -120,18 +121,8 @@ main(int argc, char **argv)
                 // Constant-memory conversion: generate in batches
                 // straight into the streaming writer.
                 TraceGenerator gen(profile, Rng(seed));
-                TraceStreamWriter w(out);
-                std::vector<PageId> buf(4096);
-                std::uint64_t done = 0;
-                while (done < n) {
-                    auto k = std::size_t(std::min<std::uint64_t>(
-                        buf.size(), n - done));
-                    gen.nextBatch(buf.data(), k);
-                    for (std::size_t i = 0; i < k; ++i)
-                        w.append(buf[i]);
-                    done += k;
-                }
-                w.close();
+                PageSource src(gen, n, profile.footprintPages);
+                writeTraceStream(out, src);
                 std::cout << "Wrote " << n << " accesses to " << out
                           << "\n";
                 if (wantStats && args.flag("stats")) {
