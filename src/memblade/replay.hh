@@ -92,8 +92,8 @@ struct ReplayStats {
  * decisions cannot depend on the representation.
  *
  * The all-ones page id is reserved as the empty marker; synthetic
- * traces never produce it (ids are < footprintPages) and replayTrace
- * asserts it away for user traces.
+ * traces never produce it (ids are < footprintPages) and a page
+ * array's PageSource asserts it away for user traces.
  */
 class PageSlotMap
 {
