@@ -53,8 +53,6 @@
 namespace wsc {
 namespace memblade {
 
-class PageSource;
-
 /** One decoded streaming-trace record. */
 struct TraceRecord {
     PageId page = 0;

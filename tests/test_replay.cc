@@ -280,6 +280,22 @@ TEST(StackDistance, LongTraceMatchesDirectLruReplay)
     }
 }
 
+// One curve read at every fraction of a sweep (as the Figure 4
+// tables read it) equals a replay per fraction.
+TEST(StackDistance, SweepMatchesIndividualReplays)
+{
+    auto profile = profileFor(workloads::Benchmark::Webmail);
+    auto curve = lruCurveForProfile(profile, 80000, 17);
+    for (double f : {0.0625, 0.125, 0.25, 0.5, 0.9}) {
+        SCOPED_TRACE(f);
+        auto frames = std::size_t(
+            std::ceil(double(profile.footprintPages) * f));
+        expectSameStats(curve.statsAt(frames),
+                        replayProfile(profile, f, PolicyKind::Lru,
+                                      80000, 17));
+    }
+}
+
 TEST(StackDistance, MeasuredWindowMatchesWindowedReplay)
 {
     auto profile = profileFor(workloads::Benchmark::Websearch);
