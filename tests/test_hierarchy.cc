@@ -8,11 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <vector>
 
 #include "memblade/hierarchy.hh"
 #include "memblade/page_source.hh"
 #include "memblade/replay.hh"
+#include "memblade/trace_stream.hh"
 #include "util/logging.hh"
 
 namespace {
@@ -187,6 +189,28 @@ TEST(Hierarchy, PrefetchBufferStaysDisjointFromLevels)
     for (PageId p = 0; p < 16; ++p)
         EXPECT_FALSE(h.inPrefetch(p) && (h.inL1(p) || h.inL2(p)))
             << p;
+}
+
+TEST(Hierarchy, StreamReplayMatchesPagesReplay)
+{
+    const char *path = "/tmp/wsc_hier.strace";
+    auto trace = sampleTrace(30000);
+    writeTraceStream(path, trace);
+
+    for (auto mode :
+         {HierarchyMode::Inclusive, HierarchyMode::Exclusive}) {
+        auto p = params(150, 600, mode, 4);
+        auto fromPages = hierarchyReplay(trace, p);
+        TraceStream ts(path);
+        PageSource src(ts);
+        auto fromStream = replayHierarchy(src, p);
+        EXPECT_EQ(fromStream.accesses, fromPages.accesses);
+        EXPECT_EQ(fromStream.l1Hits, fromPages.l1Hits);
+        EXPECT_EQ(fromStream.l2Hits, fromPages.l2Hits);
+        EXPECT_EQ(fromStream.prefetchHits, fromPages.prefetchHits);
+        EXPECT_EQ(fromStream.misses, fromPages.misses);
+    }
+    std::remove(path);
 }
 
 TEST(Hierarchy, ProfileReplayIsDeterministic)

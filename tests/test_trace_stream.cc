@@ -2,9 +2,9 @@
  * @file
  * Unit tests for the streaming trace format (WSCS v1): round trips,
  * header validation against adversarial files, the mapped and
- * buffered readers, and writing through a page source. Streaming
- * replay against the other page sources is test_replay's
- * PageSource matrix.
+ * buffered readers, writing through a page source, and streaming
+ * replay against the materialized page array (test_replay's
+ * PageSource matrix crosses every source with every analysis).
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "memblade/page_source.hh"
+#include "memblade/stack_distance.hh"
 #include "memblade/trace_io.hh"
 #include "memblade/trace_stream.hh"
 #include "util/logging.hh"
@@ -356,6 +357,105 @@ TEST(TraceStream, WriterFromPageSourceMatchesWriterFromTrace)
                      generateTrace(profile, n, Rng(5)));
     EXPECT_EQ(readAll(streamed.path), readAll(materialized.path));
     EXPECT_EQ(traceStreamInfo(streamed.path).count, n);
+}
+
+// Stream-vs-pages identity holds through the fallback: replaying via
+// forceBuffered produces the same counters as the materialized replay.
+TEST(TraceStream, BufferedFallbackReplayMatchesMaterialized)
+{
+    ScopedPath f("/tmp/wsc_ts_bufreplay.strace");
+    auto profile = profileFor(workloads::Benchmark::Webmail);
+    auto trace = generateTrace(profile, 40000, Rng(11));
+    writeTraceStream(f.path, trace);
+    std::uint64_t bound = traceStreamInfo(f.path).pageBound;
+    auto frames = std::size_t(double(profile.footprintPages) * 0.25);
+
+    for (PolicyKind kind : allPolicyKinds) {
+        TraceStream ts(f.path, /*forceBuffered=*/true);
+        auto streamed = replayStream(ts, kind, frames, Rng(4));
+        auto materialized = replayPages(trace.data(), trace.size(),
+                                        kind, frames, bound, Rng(4));
+        EXPECT_EQ(streamed.accesses, materialized.accesses)
+            << to_string(kind);
+        EXPECT_EQ(streamed.hits, materialized.hits)
+            << to_string(kind);
+        EXPECT_EQ(streamed.misses, materialized.misses)
+            << to_string(kind);
+        EXPECT_EQ(streamed.coldMisses, materialized.coldMisses)
+            << to_string(kind);
+    }
+}
+
+TEST(TraceStream, ReplayStreamMatchesMaterializedReplay)
+{
+    ScopedPath f("/tmp/wsc_ts_replay.strace");
+    auto profile = profileFor(workloads::Benchmark::Ytube);
+    auto trace = generateTrace(profile, 60000, Rng(9));
+    writeTraceStream(f.path, trace);
+    std::uint64_t bound = traceStreamInfo(f.path).pageBound;
+    auto frames =
+        std::size_t(double(profile.footprintPages) * 0.25);
+
+    for (PolicyKind kind : allPolicyKinds) {
+        TraceStream ts(f.path);
+        auto streamed = replayStream(ts, kind, frames, Rng(4));
+        auto materialized = replayPages(trace.data(), trace.size(),
+                                        kind, frames, bound, Rng(4));
+        EXPECT_EQ(streamed.accesses, materialized.accesses)
+            << to_string(kind);
+        EXPECT_EQ(streamed.hits, materialized.hits)
+            << to_string(kind);
+        EXPECT_EQ(streamed.misses, materialized.misses)
+            << to_string(kind);
+        EXPECT_EQ(streamed.coldMisses, materialized.coldMisses)
+            << to_string(kind);
+    }
+}
+
+// A windowed replay of a stream source keeps the whole-trace totals
+// and measures exactly the accesses past the warmup index.
+TEST(TraceStream, WindowedStreamReplaySplitsAtTheWarmupBoundary)
+{
+    ScopedPath f("/tmp/wsc_ts_warm.strace");
+    auto trace = sampleTrace(20000);
+    writeTraceStream(f.path, trace);
+
+    TraceStream whole(f.path);
+    auto total = replayStream(whole, PolicyKind::Lru, 500, Rng(4));
+
+    TraceStream ts(f.path);
+    PageSource src(ts);
+    auto win = replayWindowed(src, PolicyKind::Lru, 500, 5000, Rng(4));
+    EXPECT_EQ(win.total.accesses, total.accesses);
+    EXPECT_EQ(win.total.hits, total.hits);
+    EXPECT_EQ(win.total.misses, total.misses);
+    EXPECT_EQ(win.measured.accesses, trace.size() - 5000);
+    EXPECT_LE(win.measured.hits, win.total.hits);
+    EXPECT_LE(win.measured.misses, win.total.misses);
+}
+
+TEST(TraceStream, LruCurveMatchesDirectReplays)
+{
+    ScopedPath f("/tmp/wsc_ts_curve.strace");
+    auto profile = profileFor(workloads::Benchmark::Websearch);
+    auto trace = generateTrace(profile, 30000, Rng(6));
+    writeTraceStream(f.path, trace);
+    std::uint64_t bound = traceStreamInfo(f.path).pageBound;
+
+    TraceStream ts(f.path);
+    PageSource src(ts);
+    auto curve = lruCurve(src, src.size());
+    for (double f10 : {0.01, 0.1, 0.5}) {
+        auto frames = std::size_t(
+            std::max(1.0, double(profile.footprintPages) * f10));
+        auto direct = replayPages(trace.data(), trace.size(),
+                                  PolicyKind::Lru, frames, bound,
+                                  Rng(4));
+        auto fromCurve = curve.statsAt(frames);
+        EXPECT_EQ(fromCurve.hits, direct.hits) << frames;
+        EXPECT_EQ(fromCurve.misses, direct.misses) << frames;
+        EXPECT_EQ(fromCurve.coldMisses, direct.coldMisses) << frames;
+    }
 }
 
 TEST(TraceStream, LoadSaveTraceDispatchOnStraceExtension)
